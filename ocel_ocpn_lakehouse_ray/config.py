@@ -48,20 +48,6 @@ class TableConfig:
     target_fragment_bytes: int = TARGET_FRAGMENT_BYTES
     small_file_bytes: int = SMALL_FILE_BYTES
     cluster_order: str = "none"          # "zorder" | "hilbert" | "none"
-    # rewrite-job shuffle: "fs" = storage-partitioned partials (external-
-    # shuffle pattern, stages/fs_shuffle.py); "ray" = object-store groupby
-    shuffle_strategy: str = "fs"
-    # MERGE physical plan: "shuffle" (default) = hash co-group of touched
-    # fragments + source (stages/merge.py); "cow" = copy-on-write
-    # per-fragment rewrite, only source rows shuffle (stages/merge_cow.py —
-    # half the bytes through storage).  Round 5 removed cow's fixed
-    # Dataset-op costs (ONE source read feeds fragment rewrites AND salted
-    # insert partitions through a single fs exchange; no Dataset groupby),
-    # after which cow measures faster at BOTH the 20k bench tier (1.79s vs
-    # 1.91s total) and the 160k scaling tier (10.0s vs 19.0s, 16 CPUs) —
-    # "auto" now picks by pure byte math (3*src < 2*touched).  Env
-    # GRAFT_MERGE wins.
-    merge_strategy: str = "auto"
     retention_keep_last: int = 10        # manifests kept by snapshot expiry (>=1)
     retention_max_age_days: float = SNAPSHOT_OLD_DAYS
     skew_alarm_ratio: float = SKEW_ALARM_RATIO

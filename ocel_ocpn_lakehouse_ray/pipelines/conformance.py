@@ -94,35 +94,19 @@ def q_conformance(sf_dir: str):
     # event-type² (tiny at any corpus scale), so instead of an AllToAll
     # groupby we count per block and fold the <= |types|²-row partials on
     # the driver — one exchange fewer (measured 2.3 s -> 1.7 s query total).
-    # The fold is budget-guarded: the driver holds at most
-    # GRAFT_CONF_FOLD_BUDGET partial rows (bound = blocks × |types|²); past
-    # that it falls back to a distributed groupby-sum, so the shape is
-    # scale-proof by construction, not by assumption.
+    # fold_partials is budget-guarded (distributed groupby past
+    # FOLD_BUDGET partial rows), so the shape is scale-proof by
+    # construction, not by assumption.
     def dfg_part(b: pa.Table) -> pa.Table:
         df = pd.DataFrame({"src": b["src"].to_pylist(), "dst": b["dst"].to_pylist()})
         out = df.groupby(["src", "dst"], sort=False).size().reset_index(name="c")
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    import os as _os
+    from .queries import _pq, fold_partials
 
-    import ray
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    budget = int(_os.environ.get("GRAFT_CONF_FOLD_BUDGET", 2_000_000))
-    part_frames: list[pd.DataFrame] = []
-    part_rows = 0
-    for b in te.map_batches(dfg_part, batch_format="pyarrow") \
-               .iter_batches(batch_format="pyarrow"):
-        part_frames.append(b.to_pandas())
-        part_rows += b.num_rows
-        if part_rows > budget:
-            break
-    if part_rows > budget:
-        dfg = (te.map_batches(dfg_part, batch_format="pyarrow")
-                 .groupby(["src", "dst"])
-                 .aggregate(Sum("c", alias_name="c"))).to_pandas()
-    elif part_rows == 0:
+    folded = fold_partials(te.map_batches(dfg_part, batch_format="pyarrow"),
+                           ["src", "dst"], ["c"])
+    if folded is None:
         # empty events table: no edges, no model — empty typed report.
         # te.schema() is None on an empty dataset, so pull user_id's type
         # from the source parquet footer (metadata-only read).  Returned as
@@ -130,14 +114,11 @@ def q_conformance(sf_dir: str):
         # on an empty Dataset drops the columns, a typed Table keeps them.
         import pyarrow.parquet as _pq_mod
 
-        from .queries import _pq
-
         uid_t = _pq_mod.read_schema(_pq(sf_dir, "events")).field("user_id").type
         empty = pa.schema([("user_id", uid_t), ("fitness", pa.float64()),
                            ("prec", pa.float64()), ("score", pa.float64())])
         return empty.empty_table()
-    else:
-        dfg = pd.concat(part_frames).groupby(["src", "dst"])["c"].sum().reset_index()
+    dfg = folded.to_pandas()
     thresh = float(np.median(dfg["c"].to_numpy()))
     model = {
         (r.src, r.dst)
@@ -168,8 +149,6 @@ def q_conformance(sf_dir: str):
         df["n_edges"] = 1
         out = df.groupby("user_id", sort=False)[["n_edges", "n_hit"]].sum().reset_index()
         return pa.Table.from_pandas(out, preserve_index=False)
-
-    from .queries import fold_partials
 
     # per-(user, block) partials are bounded by users × blocks-per-user —
     # budget-guarded driver fold (distributed groupby fallback past it)

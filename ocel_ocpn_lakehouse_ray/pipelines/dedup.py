@@ -30,6 +30,7 @@ from ..functions.text import (
     simhash64,
     word_shingle_sets,
 )
+from . import queries
 from .queries import _read_wide, bucketed_groups
 
 NUM_PERM = 64
@@ -94,16 +95,13 @@ def distinct_pairs_bounded(pairs):
     saving a second bucket shuffle — and fall back to the co-located
     distributed dedup past it (identical results; pathological
     all-duplicate corpora stay distributed)."""
-    import os as _os
-
-    budget = int(_os.environ.get("GRAFT_FOLD_BUDGET", 2_000_000))
     frames, rows = [], 0
     for b in pairs.iter_batches(batch_format="pyarrow"):
         frames.append(b.to_pandas())
         rows += b.num_rows
-        if rows > budget:
+        if rows > queries.FOLD_BUDGET:
             break
-    if rows > budget:
+    if rows > queries.FOLD_BUDGET:
         # co-locate by hash(a) — identical pairs always share a bucket
         return bucketed_groups(pairs, "a",
                                lambda g: g.drop_duplicates(["a", "b"]))

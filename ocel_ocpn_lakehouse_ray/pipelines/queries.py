@@ -24,6 +24,12 @@ import pyarrow.compute as pc
 
 from ..functions.text import guess_lang, md5_fingerprint, quality_metrics
 
+# Build sides up to this many on-disk (compressed) bytes are broadcast.
+BROADCAST_BYTES = 64 << 20
+# Partial-aggregate rows a driver-side fold may hold before it falls back to
+# the distributed groupby (groups × blocks would have to reach this).
+FOLD_BUDGET = 2_000_000
+
 # ------------------------------------------------------------------ helpers
 
 
@@ -82,21 +88,18 @@ def join_num_partitions(sf_dir: str, tables: list[str],
 def auto_join(sf_dir: str, left, right_table: str, *, on, right_on,
               right_columns=None):
     """Size-planned inner equi-join: broadcast the build side when its
-    on-disk bytes fit under GRAFT_BROADCAST_BYTES (default 64 MiB compressed
-    — comfortably in a worker heap decompressed), else fall back to the
-    hash-shuffle `Dataset.join`.  Broadcasting a few-MB build side replaces
-    Ray's aggregator-actor shuffle (measured 4.4 s of a 5.7 s query at bench
-    scale) with a per-batch pyarrow hash join; at the 100 TB design point the
-    byte check fails and the plan degenerates to the shuffle join, so the
-    rule is scale-stable, not a small-data hack.  GRAFT_JOIN=shuffle|broadcast
-    forces a plan (used by the equivalence test)."""
-    mode = os.environ.get("GRAFT_JOIN", "auto")
-    cap = int(os.environ.get("GRAFT_BROADCAST_BYTES", 64 << 20))
+    on-disk bytes fit under BROADCAST_BYTES (64 MiB compressed — comfortably
+    in a worker heap decompressed), else fall back to the hash-shuffle
+    `Dataset.join`.  Broadcasting a few-MB build side replaces Ray's
+    aggregator-actor shuffle (measured 4.4 s of a 5.7 s query at bench
+    scale) with a per-batch pyarrow hash join; at the 100 TB design point
+    the byte check fails and the plan degenerates to the shuffle join, so the
+    rule is scale-stable, not a small-data hack."""
     try:
-        small = os.path.getsize(_pq(sf_dir, right_table)) <= cap
+        small = os.path.getsize(_pq(sf_dir, right_table)) <= BROADCAST_BYTES
     except OSError:
         small = False
-    if mode == "broadcast" or (mode == "auto" and small):
+    if small:
         build = _small_arrow(sf_dir, right_table, columns=right_columns)
         return broadcast_join(left, build, keys=list(on), right_keys=list(right_on))
     right = _read(sf_dir, right_table, columns=right_columns)
@@ -105,7 +108,7 @@ def auto_join(sf_dir: str, left, right_table: str, *, on, right_on,
                      on=tuple(on), right_on=tuple(right_on))
 
 
-def broadcast_join(ds, small: pa.Table, keys, right_keys=None, concurrency=None):
+def broadcast_join(ds, small: pa.Table, keys, right_keys=None):
     """J3/J4 broadcast join: the small side is put in the object store once
     (ray.put) and joined inside every batch with pyarrow's hash join — no
     shuffle of the big side (SURVEY.md §2.4).  Runs as plain map TASKS in the
@@ -114,8 +117,7 @@ def broadcast_join(ds, small: pa.Table, keys, right_keys=None, concurrency=None)
     actor-pool spin-up cost a measured ~2 s per query at bench scale
     (A/B: 2.0 s task-based vs 3.9 s actor-based on the 3-way join).  On a
     multi-node cluster the ref is pulled to each node once and shared by all
-    its tasks.  `concurrency` is accepted for API compatibility (callers that
-    want an actor pool can pass it; it is forwarded verbatim)."""
+    its tasks."""
     import ray
 
     ref = ray.put(small)
@@ -125,8 +127,7 @@ def broadcast_join(ds, small: pa.Table, keys, right_keys=None, concurrency=None)
         return batch.join(ray.get(ref), keys=keys, right_keys=rkeys,
                           join_type="inner")
 
-    kw = {"concurrency": concurrency} if concurrency is not None else {}
-    return ds.map_batches(_join, batch_format="pyarrow", **kw)
+    return ds.map_batches(_join, batch_format="pyarrow")
 
 
 
@@ -179,22 +180,20 @@ def fold_partials(ds, keys: list[str], sum_cols: list[str] | None = None,
     exact (integer partials are order-independent; min/max are idempotent).
 
     ``aggs`` maps column → "sum" | "min" | "max" (default: sum every
-    ``sum_cols``).  Budget-guarded like the conformance fold: past
-    GRAFT_FOLD_BUDGET rows (default 2M — groups × blocks would have to
-    reach that) it falls back to the distributed groupby with identical
-    results, so the shape is scale-proof by construction."""
+    ``sum_cols``).  Budget-guarded: past FOLD_BUDGET rows it falls back to
+    the distributed groupby with identical results (null keys form one
+    group on both paths), so the shape is scale-proof by construction."""
     from ray.data.aggregate import Max, Min, Sum
 
     aggs = aggs or {c: "sum" for c in (sum_cols or [])}
-    budget = int(os.environ.get("GRAFT_FOLD_BUDGET", 2_000_000))
     frames: list[pd.DataFrame] = []
     rows = 0
     for b in ds.iter_batches(batch_format="pyarrow"):
         frames.append(b.to_pandas())
         rows += b.num_rows
-        if rows > budget:
+        if rows > FOLD_BUDGET:
             break
-    if rows > budget:
+    if rows > FOLD_BUDGET:
         mk = {"sum": Sum, "min": Min, "max": Max}
         agg = ds.groupby(keys).aggregate(
             *[mk[f](c, alias_name=c) for c, f in aggs.items()])
@@ -202,7 +201,8 @@ def fold_partials(ds, keys: list[str], sum_cols: list[str] | None = None,
         return pa.concat_tables(out) if out else None
     if rows == 0:
         return None
-    df = (pd.concat(frames).groupby(keys, as_index=False).agg(aggs))
+    df = (pd.concat(frames).groupby(keys, as_index=False, dropna=False)
+          .agg(aggs))
     return pa.Table.from_pandas(df, preserve_index=False)
 
 

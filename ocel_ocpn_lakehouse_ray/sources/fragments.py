@@ -82,7 +82,7 @@ def column_compression(schema: pa.Schema) -> dict[str, str]:
     }
 
 
-TARGET_ROW_GROUP_BYTES = int(os.environ.get("GRAFT_RG_BYTES", 4 << 20))
+TARGET_ROW_GROUP_BYTES = 4 << 20
 
 
 def _row_group_size(tbl: pa.Table) -> int:
@@ -95,7 +95,7 @@ def _row_group_size(tbl: pa.Table) -> int:
     per task, and the straggler tail eats scaling at high parallelism.
     ~4 MB groups keep per-task work sub-second without bloating footers
     (the same sizing logic Iceberg/Lance apply to row groups/pages)."""
-    if tbl.num_rows == 0 or tbl.nbytes == 0 or TARGET_ROW_GROUP_BYTES <= 0:
+    if tbl.num_rows == 0 or tbl.nbytes == 0:
         return 1 << 20
     return max(64, int(tbl.num_rows * TARGET_ROW_GROUP_BYTES / tbl.nbytes))
 

@@ -18,7 +18,8 @@ Physical shape (SURVEY.md §7 step 5) — ONE all-to-all exchange:
      (48-bit key ‖ 16-bit image_id hash): identical keys spread over
      partitions without disturbing the order of distinct keys (north_rule
      skew handling);
-  3. groupby(part).map_groups: sort within partition, write content-addressed
+  3. storage-partitioned exchange (stages/fs_shuffle.py), one reduce task
+     per range partition: sort within partition, write content-addressed
      fragments, journal lineage per partition.
 """
 
@@ -116,8 +117,7 @@ def sample_boundaries(table, order: str, num_parts: int, sample_frac: float = No
 
 
 def _write_partition(group: pa.Table, *, root, job_id, target_bytes, failpoint=None) -> pa.Table:
-    """map_groups stage (stateless TASK, not an actor pool — fixed pools can
-    starve upstream shuffle tasks on small clusters): one group = one range
+    """Reduce function (one plain Ray task per partition): one group = one range
     partition → sort by cluster key, strip helper columns, write fragments,
     journal lineage.  Idempotent: a journaled partition is returned as-is."""
     from ..sources.fragments import metas_to_batch
@@ -162,8 +162,6 @@ def run_clustering(table, *, order: str | None = None, job_id: str | None = None
     """Cluster-rewrite the whole table in space-filling-curve order; returns
     (new_table, report).  Resumable via job_id (boundaries + finished
     partitions come from the journal)."""
-    from ..sources.fragments import batch_to_metas
-
     cfg = table.config
     order = order or (cfg.cluster_order if cfg.cluster_order != "none" else "zorder")
     chain = f"b-{table.branch}-" if getattr(table, "branch", None) else ""
@@ -191,40 +189,25 @@ def run_clustering(table, *, order: str | None = None, job_id: str | None = None
 
     # read with enough blocks that the shuffle's map side saturates the
     # cluster (small-file coalescing would otherwise cap it at ~2 blocks/GB)
-    import os
-
     import ray
+
+    from .fs_shuffle import cleanup, fs_shuffle_groups
 
     nblocks = max(P, 2 * int(ray.cluster_resources().get("CPU", 8)))
     ds = table.to_dataset(override_num_blocks=nblocks)
     assigned = ds.map_batches(assign, batch_format="pyarrow")
-    reduce_kwargs = dict(root=table.root, job_id=job_id,
-                         target_bytes=cfg.target_fragment_bytes, failpoint=failpoint)
-    add = []
-    strategy = os.environ.get("GRAFT_SHUFFLE", cfg.shuffle_strategy)
-    if strategy == "fs":
-        # storage-partitioned shuffle (stages/fs_shuffle.py): partials go to
-        # table storage, one reduce task per range partition.  Partials are
-        # rebuilt from scratch on resume (cheap map-only pass); COMPLETED
-        # partitions still short-circuit via their lineage records.
-        from .fs_shuffle import cleanup, fs_shuffle_groups
-
-        work = os.path.join(lineage.journal_dir(table.root, job_id), "shuffle")
+    # partials are rebuilt from scratch on resume (cheap map-only pass);
+    # COMPLETED partitions still short-circuit via their lineage records
+    work = os.path.join(lineage.journal_dir(table.root, job_id), "shuffle")
+    cleanup(work)
+    try:
+        fs_shuffle_groups(assigned, part_col=PART_COL, work_dir=work,
+                          reduce_fn=_write_partition,
+                          fn_kwargs=dict(root=table.root, job_id=job_id,
+                                         target_bytes=cfg.target_fragment_bytes,
+                                         failpoint=failpoint))
+    finally:
         cleanup(work)
-        try:
-            outs = fs_shuffle_groups(assigned, part_col=PART_COL, work_dir=work,
-                                     reduce_fn=_write_partition,
-                                     fn_kwargs=reduce_kwargs)
-        finally:
-            cleanup(work)
-        for out in outs:
-            add.extend(batch_to_metas(out))
-    else:
-        meta_ds = assigned.groupby(PART_COL).map_groups(
-            _write_partition, fn_kwargs=reduce_kwargs, batch_format="pyarrow",
-        )
-        for b in meta_ds.iter_batches(batch_format="pyarrow"):
-            add.extend(batch_to_metas(b))
     # journal is authoritative (covers resumed partitions whose groups were
     # recomputed but skipped, and empty partitions produce no record)
     records = lineage.load_records(table.root, job_id)

@@ -101,14 +101,13 @@ def read_partition(pieces: list[tuple[str, int]]) -> pa.Table:
     return pa.concat_tables(tables).combine_chunks()
 
 
-def fs_reduce(manifest: dict, reduce_fn, fn_kwargs: dict | None = None,
-              num_cpus_per_reduce: float = 1.0):
+def fs_reduce(manifest: dict, reduce_fn, fn_kwargs: dict | None = None):
     """Fan one Ray task per manifest partition; returns reduce outputs."""
     import ray
 
     fn_kwargs = fn_kwargs or {}
 
-    @ray.remote(num_cpus=num_cpus_per_reduce)
+    @ray.remote(num_cpus=1)
     def reduce_task(part: int, pieces: list[tuple[str, int]]):
         # one task = one CPU: arrow's default 8-thread IO pool makes 16
         # concurrent reduce tasks run 128 reader threads that thrash the
@@ -124,15 +123,13 @@ def fs_reduce(manifest: dict, reduce_fn, fn_kwargs: dict | None = None,
 
 
 def fs_shuffle_groups(ds, *, part_col: str, work_dir: str, reduce_fn,
-                      fn_kwargs: dict | None = None,
-                      num_cpus_per_reduce: float = 1.0):
+                      fn_kwargs: dict | None = None):
     """Run ``reduce_fn(group: pa.Table, **fn_kwargs) -> pa.Table`` once per
     partition of ``ds`` (partition ids in ``part_col``), shuffling through
     ``work_dir`` instead of the object store.  Returns the list of reduce
-    outputs (Arrow tables) — callers aggregate tiny metadata results."""
+    outputs (Arrow tables)."""
     manifest = fs_shuffle_map(ds, part_col=part_col, work_dir=work_dir)
-    return fs_reduce(manifest, reduce_fn, fn_kwargs,
-                     num_cpus_per_reduce=num_cpus_per_reduce)
+    return fs_reduce(manifest, reduce_fn, fn_kwargs)
 
 
 def cleanup(work_dir: str) -> None:

@@ -16,7 +16,10 @@ Physical shape (SURVEY.md §7 step 7):
      stats we maintain today and is exact for range-disjoint fragments.)
   2. **One shuffle** — touched-target rows and source rows are tagged
      (__side 0/1), hash-partitioned on image_id (vectorized, P from data size
-     + A16 heuristic) and co-grouped with groupby(__part).map_groups.
+     + A16 heuristic) and co-grouped through the storage-partitioned exchange
+     (stages/fs_shuffle.py), one reduce task per partition.  This is the
+     hash co-group plan; ``choose_merge_plan`` picks it or the copy-on-write
+     plan (stages/merge_cow.py) per job by byte math.
   3. **Per-partition upsert** — within a partition a vectorized Arrow
      anti-join keeps target rows whose key has no source row, then appends all
      source rows (update-wins; source-internal dups resolved keep-last).
@@ -144,7 +147,7 @@ def prune_touched_distributed(table, src_files, *, batch_size: int = 65536):
 def _merge_partition(group: pa.Table, *, root, job_id, target_bytes,
                      key_col: str = "image_id", failpoint=None,
                      delete_col: str | None = None) -> pa.Table:
-    """map_groups upsert (stateless TASK): one group = one hash partition of
+    """Reduce upsert (one plain Ray task): one group = one hash partition of
     both sides; vectorized anti-join keeps unmatched target rows, source rows
     win.  With ``delete_col`` set, source rows flagged true are WHEN MATCHED
     THEN DELETE markers: matched target rows are dropped and the marker row
@@ -206,6 +209,29 @@ def _merge_partition(group: pa.Table, *, root, job_id, target_bytes,
     return metas_to_batch(metas)
 
 
+def choose_merge_plan(src_bytes: int, touched_bytes: int) -> str:
+    """Cost-based MERGE physical plan: copy-on-write moves ~2T + 3s bytes
+    through storage vs the hash co-group's ~4T (stages/merge_cow.py module
+    docstring), so "cow" wins when 3*src < 2*touched, else "shuffle" (the
+    hash co-group).  Measured both ways: cow is faster at the 20k and 160k
+    bench tiers, while the co-group writes ~2 % less on small upserts into
+    few touched bytes (the perfbench ``ingest`` workload)."""
+    return "cow" if 3 * src_bytes < 2 * touched_bytes else "shuffle"
+
+
+def _journaled_plan(root: str, job_id: str) -> str | None:
+    """Plan of a job whose meta has no ``plan`` key (it was journaled while
+    the plan was forced from outside), read from its record prefixes: cow
+    writes ``cow-*`` records, the co-group ``part-*``.  None when nothing
+    was journaled yet."""
+    pids = lineage.load_records(root, job_id)
+    if any(p.startswith("cow-") for p in pids):
+        return "cow"
+    if any(p.startswith("part-") for p in pids):
+        return "shuffle"
+    return None
+
+
 def run_merge(table, source_ds, *, job_id: str | None = None,
               num_partitions: int | None = None, failpoint: int | None = None,
               max_driver_keys: int = 5_000_000,
@@ -215,11 +241,11 @@ def run_merge(table, source_ds, *, job_id: str | None = None,
     ``delete_col``: name of a boolean column on the source marking WHEN
     MATCHED THEN DELETE rows — matched target rows are deleted, the marker
     rows are never inserted, unmatched markers are no-ops.  Honored by both
-    physical plans (hash co-group and GRAFT_MERGE=cow)."""
-    from ..sources.fragments import batch_to_metas
+    physical plans.
 
+    The plan (``choose_merge_plan``) is persisted in the job meta, so a
+    resume never flips plans over a half-written journal."""
     import glob
-    import os
 
     import pyarrow.parquet as pq
 
@@ -302,54 +328,20 @@ def run_merge(table, source_ds, *, job_id: str | None = None,
     P = meta["num_parts"]
     touched = [f for f in table.fragments if f.fragment_id in touched_set]
 
-    read_schema = table.schema.append(pa.field(SIDE_COL, pa.int8()))
-    if delete_col:
-        # target fragments lack the marker column → null-filled (= keep)
-        read_schema = read_schema.append(pa.field(delete_col, pa.bool_()))
-    nblocks = max(P, 2 * int(ray.cluster_resources().get("CPU", 8)))
     both_paths = table.fragment_paths(touched) + src_files
     if not both_paths:  # empty source on empty/unmatched table: nothing to do
         return table, {"job_id": job_id, "partitions": P, "rows": 0,
                        "updates": 0, "inserts": 0, "seconds": 0.0,
                        "touched_fragments": 0,
                        "untouched_fragments": len(table.fragments)}
-    ds = ray.data.read_parquet(both_paths, schema=read_schema,
-                               override_num_blocks=nblocks)
-
-    def assign(batch: pa.Table) -> pa.Table:
-        side = pc.fill_null(batch[SIDE_COL], 0)  # null = target fragment row
-        i = batch.schema.get_field_index(SIDE_COL)
-        batch = batch.set_column(i, SIDE_COL, pc.cast(side, pa.int8()))
-        return assign_hash_part(batch, "image_id", P)
-
-    assigned = ds.map_batches(assign, batch_format="pyarrow")
-    reduce_kwargs = dict(root=table.root, job_id=job_id,
-                         target_bytes=cfg.target_fragment_bytes,
-                         failpoint=failpoint, delete_col=delete_col)
-    add = []
-    merge_mode = os.environ.get("GRAFT_MERGE", getattr(cfg, "merge_strategy", "shuffle"))
-    if merge_mode == "auto":
-        # Cost-based physical-plan choice (persisted in job meta so a resume
-        # NEVER flips plans over a half-written journal): copy-on-write moves
-        # ~2T + 3s bytes through storage vs the hash co-group's ~4T
-        # (stages/merge_cow.py module docstring), so cow wins when
-        # 3*src < 2*touched.  Round 5 removed cow's fixed Dataset-op costs
-        # (single source read, salted insert partitions through the same
-        # exchange, no Dataset groupby), so the round-3 byte floor that
-        # protected small merges now defaults to 0 — pure byte math decides
-        # (GRAFT_AUTO_COW_MIN_BYTES still overrides; A/B at 20k AND 160k
-        # tiers: cow wins both).
-        chosen = meta.get("plan")
-        if chosen is None:
-            src_bytes = sum(os.path.getsize(p) for p in src_files)
-            floor = int(os.environ.get("GRAFT_AUTO_COW_MIN_BYTES", "0"))
-            touched_b = sum(f.bytes for f in touched)
-            chosen = ("cow" if touched_b >= floor
-                      and 3 * src_bytes < 2 * touched_b else "shuffle")
-            meta["plan"] = chosen
-            lineage.write_job_meta(table.root, job_id, meta)
-        merge_mode = chosen
-    strategy = os.environ.get("GRAFT_SHUFFLE", cfg.shuffle_strategy)
+    merge_mode = meta.get("plan")
+    if merge_mode is None:
+        merge_mode = (_journaled_plan(table.root, job_id)
+                      or choose_merge_plan(
+                          sum(os.path.getsize(p) for p in src_files),
+                          sum(f.bytes for f in touched)))
+        meta["plan"] = merge_mode
+        lineage.write_job_meta(table.root, job_id, meta)
     if merge_mode == "cow":
         # copy-on-write: only SOURCE rows shuffle; fragments are rewritten in
         # place by per-fragment tasks (stages/merge_cow.py — halves the bytes
@@ -359,28 +351,37 @@ def run_merge(table, source_ds, *, job_id: str | None = None,
         cow_merge(table, src_files, touched, job_id=job_id,
                   target_bytes=cfg.target_fragment_bytes, failpoint=failpoint,
                   delete_col=delete_col, phases=subph)
-    elif strategy == "fs":
-        # storage-partitioned shuffle (see stages/fs_shuffle.py and the same
-        # block in clustering.py); completed partitions short-circuit via
-        # their lineage records inside _merge_partition.
+    else:
+        # hash co-group through the storage-partitioned exchange; completed
+        # partitions short-circuit via their lineage records inside
+        # _merge_partition
         from .fs_shuffle import cleanup, fs_shuffle_groups
+
+        read_schema = table.schema.append(pa.field(SIDE_COL, pa.int8()))
+        if delete_col:
+            # target fragments lack the marker column → null-filled (= keep)
+            read_schema = read_schema.append(pa.field(delete_col, pa.bool_()))
+        nblocks = max(P, 2 * int(ray.cluster_resources().get("CPU", 8)))
+        ds = ray.data.read_parquet(both_paths, schema=read_schema,
+                                   override_num_blocks=nblocks)
+
+        def assign(batch: pa.Table) -> pa.Table:
+            side = pc.fill_null(batch[SIDE_COL], 0)  # null = target fragment row
+            i = batch.schema.get_field_index(SIDE_COL)
+            batch = batch.set_column(i, SIDE_COL, pc.cast(side, pa.int8()))
+            return assign_hash_part(batch, "image_id", P)
 
         work = os.path.join(lineage.journal_dir(table.root, job_id), "shuffle")
         cleanup(work)
         try:
-            outs = fs_shuffle_groups(assigned, part_col=PART_COL, work_dir=work,
-                                     reduce_fn=_merge_partition,
-                                     fn_kwargs=reduce_kwargs)
+            fs_shuffle_groups(
+                ds.map_batches(assign, batch_format="pyarrow"),
+                part_col=PART_COL, work_dir=work, reduce_fn=_merge_partition,
+                fn_kwargs=dict(root=table.root, job_id=job_id,
+                               target_bytes=cfg.target_fragment_bytes,
+                               failpoint=failpoint, delete_col=delete_col))
         finally:
             cleanup(work)
-        for out in outs:
-            add.extend(batch_to_metas(out))
-    else:
-        meta_ds = assigned.groupby(PART_COL).map_groups(
-            _merge_partition, fn_kwargs=reduce_kwargs, batch_format="pyarrow",
-        )
-        for b in meta_ds.iter_batches(batch_format="pyarrow"):
-            add.extend(batch_to_metas(b))
     ph["shuffle"] = round(time.time() - t0 - sum(ph.values()), 3)
     records = lineage.load_records(table.root, job_id)
     if merge_mode == "cow":

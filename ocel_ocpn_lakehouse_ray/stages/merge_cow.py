@@ -451,12 +451,12 @@ def cow_merge(table, src_files: list[str], touched, *, job_id: str,
 
         # every insert partition runs even when the exchange routed it no
         # rows (leftovers alone can populate it) — and journaling each part
-        # keeps resume exact
-        def routed_schema_empty() -> pa.Table:
-            s = table.schema.append(pa.field(FRAG_COL, pa.int32()))
-            if delete_col:
-                s = s.append(pa.field(delete_col, pa.bool_()))
-            return s.empty_table()
+        # keeps resume exact.  An empty part takes the routed rows' schema
+        # (the staged source's, minus __side, plus FRAG_COL) so it concats
+        # with the leftovers, which keep the source's column order.
+        routed_empty = pa.schema(
+            [f for f in pq.read_schema(src_files[0]) if f.name != "__side"]
+            + [pa.field(FRAG_COL, pa.int32())]).empty_table()
 
         from .fs_shuffle import read_partition
 
@@ -464,7 +464,7 @@ def cow_merge(table, src_files: list[str], touched, *, job_id: str,
         def insert_task(k: int, pieces):
             if pa.io_thread_count() > 1:
                 pa.set_io_thread_count(1)
-            group = read_partition(pieces) if pieces else routed_schema_empty()
+            group = read_partition(pieces) if pieces else routed_empty
             return write_inserts(group, part=k)
 
         ins_manifest = {p: v for p, v in manifest.items() if p < 0}

@@ -3,11 +3,11 @@ sizing, and the partitioned-write pattern every wide maintenance job reuses.
 
 The reference declares ``write.distribution-mode: hash`` but never uses it
 (`ingest/production_bootstrap.py:239-241`); here the hash partitioning is real:
-a vectorized ``__part`` column inside ``map_batches`` followed by
-``groupby("__part").map_groups(...)`` — ONE all-to-all exchange per job, with
-partition count chosen from data size + the reference's bucket heuristic and a
-pre-shuffle skew check (partial counts inside map_batches, then a tiny groupby
-— never a full second shuffle).
+a vectorized ``__part`` column inside ``map_batches`` followed by the
+storage-partitioned exchange (``fs_shuffle.fs_shuffle_groups``) — ONE
+all-to-all exchange per job, with partition count chosen from data size + the
+reference's bucket heuristic and a pre-shuffle skew check (partial counts
+inside map_batches, then a tiny groupby — never a full second shuffle).
 """
 
 from __future__ import annotations
@@ -18,11 +18,9 @@ import pyarrow as pa
 from ..config import optimal_bucket_count
 from ..functions.hashing import hash_strings
 
-import os as _os
-
 PART_COL = "__part"
 # parallelism floor never shatters partitions below this size
-MIN_PARTITION_BYTES = int(_os.environ.get("GRAFT_MIN_PART_BYTES", 16 << 20))
+MIN_PARTITION_BYTES = 16 << 20
 
 
 def assign_hash_part(batch: pa.Table, key_col: str, num_parts: int, seed: int = 0) -> pa.Table:

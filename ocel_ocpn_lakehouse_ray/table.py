@@ -223,6 +223,7 @@ class LakeTable:
 
         frags = self.live_fragments(predicates)
         schema = self.schema
+        read_cols = columns
         if predicates and not self.manifest.config.get("schema_evolved"):
             import pyarrow.compute as _pc
 
@@ -235,6 +236,11 @@ class LakeTable:
                     expr = e if expr is None else (expr & e)
             if expr is not None:
                 read_kwargs.setdefault("filter", expr)
+                # the filter can only reference columns the read projects:
+                # read the predicate columns too, then drop them
+                if columns:
+                    read_cols = list(dict.fromkeys(
+                        [*columns, *(c for c, _, _ in predicates)]))
         if not frags:
             tbl = schema.empty_table()
             return ray.data.from_arrow(tbl.select(columns) if columns else tbl)
@@ -249,12 +255,13 @@ class LakeTable:
             )
             return ds.select_columns(columns)
         read_schema = (
-            pa.schema([schema.field(c) for c in columns]) if columns else schema
+            pa.schema([schema.field(c) for c in read_cols]) if columns else schema
         )
-        return ray.data.read_parquet(
-            self.fragment_paths(frags), columns=columns, schema=read_schema,
+        ds = ray.data.read_parquet(
+            self.fragment_paths(frags), columns=read_cols, schema=read_schema,
             **read_kwargs
         )
+        return ds.select_columns(columns) if read_cols != columns else ds
 
     def to_arrow(self, columns: list[str] | None = None) -> pa.Table:
         """Driver-side full read — ONLY for tests/small tables."""

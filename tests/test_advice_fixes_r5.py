@@ -13,7 +13,7 @@
    stale neighbors.
 4. q_conformance's driver-side DFG fold survives an empty events table
    (typed empty report, no pd.concat([]) ValueError) and falls back to a
-   distributed groupby-sum past GRAFT_CONF_FOLD_BUDGET with identical
+   distributed groupby-sum past FOLD_BUDGET with identical
    results.
 """
 
@@ -199,7 +199,9 @@ def test_conformance_fold_budget_fallback_identical(monkeypatch):
                 .reset_index(drop=True).round(12))
 
     base = norm(q_conformance(SF))
-    monkeypatch.setenv("GRAFT_CONF_FOLD_BUDGET", "1")  # force distributed fold
+    from ocel_ocpn_lakehouse_ray.pipelines import queries
+
+    monkeypatch.setattr(queries, "FOLD_BUDGET", 1)  # force distributed fold
     fb = norm(q_conformance(SF))
     pd.testing.assert_frame_equal(base, fb)
     assert len(base) > 0

@@ -1,4 +1,4 @@
-"""fold_partials budget fallback: forcing GRAFT_FOLD_BUDGET=1 pushes every
+"""fold_partials budget fallback: forcing FOLD_BUDGET=1 pushes every
 converted query onto the distributed-groupby path — results must be
 identical to the driver fold (the scale-proof-by-construction contract)."""
 
@@ -8,6 +8,7 @@ import pandas as pd
 import pytest
 
 import __ray_entry__ as entry
+from ocel_ocpn_lakehouse_ray.pipelines import queries
 
 SF = "/root/testdata/sf0.001"
 
@@ -29,7 +30,7 @@ def _norm(res) -> pd.DataFrame:
 def test_budget_fallback_identical(name, monkeypatch):
     reg = entry.queries()
     base = _norm(reg[name](SF))
-    monkeypatch.setenv("GRAFT_FOLD_BUDGET", "1")
+    monkeypatch.setattr(queries, "FOLD_BUDGET", 1)
     fb = _norm(reg[name](SF))
     pd.testing.assert_frame_equal(base, fb, check_dtype=False)
     assert len(base) > 0

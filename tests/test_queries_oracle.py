@@ -84,8 +84,10 @@ def test_auto_join_plans_equivalent(monkeypatch):
     # auto_join must give identical results whichever plan the size rule
     # picks: force broadcast and shuffle and compare (J1 stays exercised
     # even though the bench-scale tables all fall under the broadcast cap).
+    from ocel_ocpn_lakehouse_ray.pipelines import queries
+
     results = {}
-    for mode in ("broadcast", "shuffle"):
-        monkeypatch.setenv("GRAFT_JOIN", mode)
+    for mode, cap in (("broadcast", 1 << 62), ("shuffle", -1)):
+        monkeypatch.setattr(queries, "BROADCAST_BYTES", cap)
         results[mode] = normalize(to_pandas(QUERIES["revenue_by_nation"](SF_DIR)))
     pd.testing.assert_frame_equal(results["broadcast"], results["shuffle"])

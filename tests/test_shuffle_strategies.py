@@ -1,6 +1,6 @@
-"""Both rewrite-shuffle strategies (storage-partitioned "fs" and
-object-store "ray") must produce identical results, survive failpoint
-resume, and leave no shuffle partials behind."""
+"""The storage-partitioned exchange ("fs") and both MERGE plans (hash
+co-group and copy-on-write) must produce identical results, survive
+failpoint resume, and leave no shuffle partials behind."""
 
 from __future__ import annotations
 
@@ -27,12 +27,11 @@ SEED = 42
 N = 200
 
 
-@pytest.fixture(params=["fs", "ray"])
-def strategy(request, monkeypatch):
-    monkeypatch.setenv("GRAFT_SHUFFLE", request.param)
+@pytest.fixture(params=["fs"])
+def strategy(request, pin_merge_plan):
     # pin the merge plan to the hash co-group: these tests exercise the
-    # SHUFFLE strategies, which the cow default would bypass for merges
-    monkeypatch.setenv("GRAFT_MERGE", "shuffle")
+    # exchange, which the cow plan would bypass for merges
+    pin_merge_plan("shuffle")
     return request.param
 
 
@@ -120,7 +119,7 @@ def test_fs_shuffle_file_count_bounded_at_high_partition_count(tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["shuffle", "cow"])
-def test_merge_strategies_equivalent_and_resumable(tmp_path, mode, monkeypatch):
+def test_merge_strategies_equivalent_and_resumable(tmp_path, mode, pin_merge_plan):
     """Both MERGE physical plans (hash co-group vs copy-on-write) must yield
     the identical post-merge table and survive a failpoint resume."""
     import numpy as np
@@ -132,7 +131,7 @@ def test_merge_strategies_equivalent_and_resumable(tmp_path, mode, monkeypatch):
     from ocel_ocpn_lakehouse_ray.stages.merge import run_merge
     from ocel_ocpn_lakehouse_ray.stages.verify import verify_merged_map_only
 
-    monkeypatch.setenv("GRAFT_MERGE", mode)
+    pin_merge_plan(mode)
     root = str(tmp_path / mode)
     t = create_image_table(root, 300, num_fragments=8, seed=42)
     with pytest.raises(RuntimeError, match="failpoint"):
@@ -148,7 +147,7 @@ def test_merge_strategies_equivalent_and_resumable(tmp_path, mode, monkeypatch):
     assert len(ids) == len(set(ids)) == 300 + 300 // 20
 
 
-def test_cow_merge_pure_insert_keeps_fragments(tmp_path, monkeypatch):
+def test_cow_merge_pure_insert_keeps_fragments(tmp_path, pin_merge_plan):
     """COW + fully-disjoint source: every fragment is untouched (no rewrite
     records), rows are added exactly once."""
     import numpy as np
@@ -160,7 +159,7 @@ def test_cow_merge_pure_insert_keeps_fragments(tmp_path, monkeypatch):
 
     import ray.data
 
-    monkeypatch.setenv("GRAFT_MERGE", "cow")
+    pin_merge_plan("cow")
     root = str(tmp_path / "t")
     t = LakeTable.create(root, IMAGE_SCHEMA, TableConfig(target_fragment_bytes=1 << 20))
     t = t.append_arrow(gen_batch(np.arange(200), 42), name_parts=("seed", "0"))
@@ -173,7 +172,7 @@ def test_cow_merge_pure_insert_keeps_fragments(tmp_path, monkeypatch):
     assert len(ids) == len(set(ids)) == 220
 
 
-def test_cow_delete_markers_with_leftovers_and_inserts(tmp_path):
+def test_cow_delete_markers_with_leftovers_and_inserts(tmp_path, pin_merge_plan):
     """delete_col + the single-exchange insert pass: unmatched delete
     markers (routed to insert partitions) are no-ops, matched markers
     delete, leftovers (cross-claimed rows, marker-stripped sidecars) and
@@ -218,12 +217,9 @@ def test_cow_delete_markers_with_leftovers_and_inserts(tmp_path):
     src = pa.concat_tables([
         rest.append_column("__delete", pa.array([False] * rest.num_rows)),
         markers])
-    _os.environ["GRAFT_MERGE"] = "cow"
-    try:
-        t2, rep = run_merge(t, ray.data.from_arrow(src),
-                            job_id="cow-delmix", delete_col="__delete")
-    finally:
-        _os.environ.pop("GRAFT_MERGE", None)
+    pin_merge_plan("cow")
+    t2, rep = run_merge(t, ray.data.from_arrow(src),
+                        job_id="cow-delmix", delete_col="__delete")
     assert rep["updates"] == 10 and rep["inserts"] == 4, rep
     assert rep["deletes"] == 2, rep
     ids = t2.to_arrow(columns=["image_id"])["image_id"].to_pylist()
@@ -234,7 +230,7 @@ def test_cow_delete_markers_with_leftovers_and_inserts(tmp_path):
     assert not (miss & set(ids))  # unmatched markers never insert
 
 
-def test_cow_cross_claimed_leftovers_no_duplicates(tmp_path):
+def test_cow_cross_claimed_leftovers_no_duplicates(tmp_path, pin_merge_plan):
     """A source row whose key RANGE matches several fragments is routed to
     all of them but matches in only one; the others record it as a leftover.
     The insert pass must drop those leftovers (their key is in a matched
@@ -271,13 +267,8 @@ def test_cow_cross_claimed_leftovers_no_duplicates(tmp_path):
     upd = gen_update_batch(np.arange(0, 40, 2), 42)   # even keys only
     new = gen_batch(np.arange(5) + 7 * 10**12, 43)
     src = ray.data.from_arrow(pa.concat_tables([upd, new]))
-    import os as _os
-
-    _os.environ["GRAFT_MERGE"] = "cow"
-    try:
-        t2, rep = run_merge(t, src, job_id="cow-crossclaim")
-    finally:
-        _os.environ.pop("GRAFT_MERGE", None)
+    pin_merge_plan("cow")
+    t2, rep = run_merge(t, src, job_id="cow-crossclaim")
     assert rep["updates"] == 20 and rep["inserts"] == 5, rep
     ids = t2.to_arrow(columns=["image_id"])["image_id"].to_pylist()
     assert len(ids) == len(set(ids)) == 200 + 5

@@ -56,7 +56,7 @@ def test_interval_index_routing_is_sublinear_in_fragment_count():
 
 
 @pytest.mark.parametrize("mode", ["shuffle", "cow"])
-def test_merge_when_matched_then_delete(tmp_path, mode, monkeypatch):
+def test_merge_when_matched_then_delete(tmp_path, mode, pin_merge_plan):
     """MERGE with delete markers (WHEN MATCHED THEN DELETE): matched target
     rows vanish, markers never insert, unmatched markers are no-ops —
     identical under both physical plans, pinned by a DuckDB oracle."""
@@ -72,7 +72,7 @@ def test_merge_when_matched_then_delete(tmp_path, mode, monkeypatch):
     from ocel_ocpn_lakehouse_ray.stages.merge import run_merge
     from ocel_ocpn_lakehouse_ray.stages.verify import scan_equivalence
 
-    monkeypatch.setenv("GRAFT_MERGE", mode)
+    pin_merge_plan(mode)
     n, seed = 300, 21
     t = create_image_table(str(tmp_path / mode), n, num_fragments=8, seed=seed)
     upd_ids = np.arange(0, 60, 4)            # 15 updates
@@ -192,13 +192,11 @@ def test_similar_cases_single_events_scan(monkeypatch):
     assert out["distance"].is_monotonic_increasing
 
 
-def test_merge_auto_plan_choice_and_resume_stability(tmp_path, monkeypatch):
-    """GRAFT_MERGE=auto picks the plan from the cost model (cow when
-    3*src < 2*touched above the byte floor, else shuffle), persists it in
-    the job meta, and a RESUME reuses the recorded plan even when the
-    environment would now choose differently."""
-    import ray
-
+def test_merge_auto_plan_choice_and_resume_stability(tmp_path, pin_merge_plan):
+    """MERGE picks its plan from the cost model (cow when 3*src < 2*touched,
+    else the hash co-group), persists it in the job meta, and a RESUME
+    reuses the recorded plan even when the chooser would now pick the other
+    one."""
     from ocel_ocpn_lakehouse_ray.sources.generator import (
         create_image_table,
         merge_source_dataset,
@@ -207,39 +205,35 @@ def test_merge_auto_plan_choice_and_resume_stability(tmp_path, monkeypatch):
     from ocel_ocpn_lakehouse_ray.stages.merge import run_merge
     from ocel_ocpn_lakehouse_ray.stages.verify import verify_merged_map_only
 
-    monkeypatch.setenv("GRAFT_MERGE", "auto")
-
-    # default floor is now 0 (round 5: cow's fixed costs were removed and it
-    # A/B-wins at every tier) — the ~5 % source vs full touched set chooses
-    # cow by pure byte math; an env floor above the table forces shuffle
+    # unpatched: the ~5 % source vs the full touched set chooses cow by
+    # pure byte math
     t = create_image_table(str(tmp_path / "a"), 200, num_fragments=6, seed=42)
     t2, rep = run_merge(t, merge_source_dataset(200, seed=42, num_blocks=2),
                         job_id="auto-s")
     assert lineage.load_job_meta(t.root, "auto-s")["plan"] == "cow"
     vr = verify_merged_map_only(t2, n=200, seed=42, num_blocks=4)
     assert vr["passed"], vr
-    t = create_image_table(str(tmp_path / "a2"), 200, num_fragments=6, seed=42)
-    monkeypatch.setenv("GRAFT_AUTO_COW_MIN_BYTES", str(1 << 40))
-    t2, rep = run_merge(t, merge_source_dataset(200, seed=42, num_blocks=2),
-                        job_id="auto-s2")
-    assert lineage.load_job_meta(t.root, "auto-s2")["plan"] == "shuffle"
-    vr = verify_merged_map_only(t2, n=200, seed=42, num_blocks=4)
-    assert vr["passed"], vr
 
-    # crash under floor 0 (plan=cow journaled), then resume under a HUGE
-    # floor — must reuse the journaled cow plan
-    monkeypatch.setenv("GRAFT_AUTO_COW_MIN_BYTES", "0")
-    t = create_image_table(str(tmp_path / "b"), 200, num_fragments=6, seed=42)
-    with pytest.raises(Exception, match="failpoint"):
-        run_merge(t, merge_source_dataset(200, seed=42, num_blocks=2),
-                  job_id="auto-c", failpoint=1)
-    assert lineage.load_job_meta(t.root, "auto-c")["plan"] == "cow"
-    monkeypatch.setenv("GRAFT_AUTO_COW_MIN_BYTES", str(1 << 40))
-    t3, rep = run_merge(t, merge_source_dataset(200, seed=42, num_blocks=2),
-                        job_id="auto-c")
-    assert lineage.load_job_meta(t.root, "auto-c")["plan"] == "cow"
-    vr = verify_merged_map_only(t3, n=200, seed=42, num_blocks=4)
-    assert vr["passed"] and vr["id_checksum_ok"], vr
+    # crash under one plan, resume with the chooser flipped to the other —
+    # the resume must reuse the journaled plan (both directions)
+    for first, then in (("cow", "shuffle"), ("shuffle", "cow")):
+        job = f"auto-{first}"
+        pin_merge_plan(first)
+        t = create_image_table(str(tmp_path / first), 200, num_fragments=6,
+                               seed=42)
+        with pytest.raises(Exception, match="failpoint"):
+            run_merge(t, merge_source_dataset(200, seed=42, num_blocks=2),
+                      job_id=job, failpoint=1)
+        assert lineage.load_job_meta(t.root, job)["plan"] == first
+        pin_merge_plan(then)
+        t3, rep = run_merge(t, merge_source_dataset(200, seed=42, num_blocks=2),
+                            job_id=job)
+        assert lineage.load_job_meta(t.root, job)["plan"] == first
+        prefix = "cow-" if first == "cow" else "part-"
+        assert all(p.startswith(prefix)
+                   for p in lineage.load_records(t.root, job)), first
+        vr = verify_merged_map_only(t3, n=200, seed=42, num_blocks=4)
+        assert vr["passed"] and vr["id_checksum_ok"], vr
 
 
 def test_stream_append_exactly_once_with_resume(tmp_path):
@@ -368,7 +362,7 @@ def test_bottlenecks_matches_duckdb():
                        want["avg_duration_seconds"], atol=1e-4)
 
 
-def test_gc_sweeps_bloom_sidecars_after_dml_lifecycle(tmp_path, monkeypatch):
+def test_gc_sweeps_bloom_sidecars_after_dml_lifecycle(tmp_path, pin_merge_plan):
     """DML + snapshot expiry + GC must leave ZERO orphans — including the
     .bloom key sidecars of fragments removed by DELETE/UPDATE/MERGE."""
     import os
@@ -388,7 +382,7 @@ def test_gc_sweeps_bloom_sidecars_after_dml_lifecycle(tmp_path, monkeypatch):
     from ocel_ocpn_lakehouse_ray.stages.merge import run_merge
     from ocel_ocpn_lakehouse_ray.stages.update import run_update
 
-    monkeypatch.setenv("GRAFT_MERGE", "shuffle")
+    pin_merge_plan("shuffle")
     root = str(tmp_path / "t")
     t = create_image_table(root, 200, num_fragments=6, seed=15)
     data_dir = os.path.join(root, "data")
@@ -456,7 +450,7 @@ def test_update_expression_sets_match_duckdb(tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["shuffle", "cow"])
-def test_merge_pure_delete_source(tmp_path, mode, monkeypatch):
+def test_merge_pure_delete_source(tmp_path, mode, pin_merge_plan):
     """A source containing ONLY delete markers behaves as a keyed DELETE
     under both plans: matched rows vanish, nothing inserts."""
     import pyarrow as pa
@@ -468,7 +462,7 @@ def test_merge_pure_delete_source(tmp_path, mode, monkeypatch):
     )
     from ocel_ocpn_lakehouse_ray.stages.merge import run_merge
 
-    monkeypatch.setenv("GRAFT_MERGE", mode)
+    pin_merge_plan(mode)
     n, seed = 200, 33
     t = create_image_table(str(tmp_path / mode), n, num_fragments=6, seed=seed)
     del_ids = np.arange(0, 30, 3)
