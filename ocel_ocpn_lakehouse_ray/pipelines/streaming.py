@@ -4,9 +4,9 @@ implemented version of the reference's ingest surface (its published
 SUMMARY.md:162`, runs through a staged-load area + a separate commit step,
 `ops/commit_staged_files.py:47-88`).
 
-Shape: each micro-batch becomes content-addressed fragments
-(``write_table_as_fragments`` keyed by (job_id, micro-NNNNNN)) plus one
-lineage record BEFORE any manifest change, and every ``commit_every``
+Shape: each micro-batch is one partition ``micro-NNNNNN`` of the journal
+protocol (state/lineage.py), journaled BEFORE any manifest change, and
+every ``commit_every``
 micro-batches the staged fragments publish in ONE manifest commit — so a
 1000-batch stream costs ~1000/commit_every manifest versions instead of
 1000 (manifest churn is what kills snapshot retention at ingest rates).
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import time
 
-from ..sources.fragments import write_table_as_fragments
 from ..state import lineage
 
 
@@ -39,7 +38,7 @@ def stream_append(table, batches, *, job_id: str,
     t0 = time.time()
     t = table
     staged: list = []
-    rows = commits = skipped = n_batches = 0
+    rows = commits = ran = n_batches = 0
 
     def flush(t, staged):
         nonlocal commits
@@ -55,22 +54,17 @@ def stream_append(table, batches, *, job_id: str,
 
     for i, b in enumerate(batches):
         pid = f"micro-{i:06d}"
-        if failpoint is not None and i == failpoint:
-            raise RuntimeError(f"failpoint: simulated crash at {pid}")
-        rec = lineage.load_record(root, job_id, pid)
-        if rec is not None:
-            metas = rec.out_metas()
-            skipped += 1
-        else:
-            metas = write_table_as_fragments(
-                root, b, target_bytes=t.config.target_fragment_bytes,
-                name_parts=(job_id, pid))
-            lineage.write_record(root, lineage.PartitionRecord(
-                job_id=job_id, partition_id=pid,
-                frags_in=[pid],
-                frags_out=[m.to_dict() for m in metas],
-                rows=b.num_rows,
-                bytes=sum(m.bytes for m in metas)))
+
+        def kernel(write):
+            nonlocal ran
+            ran += 1
+            if failpoint is not None and i == failpoint:
+                raise RuntimeError(f"failpoint: simulated crash at {pid}")
+            return (write(b, target_bytes=t.config.target_fragment_bytes),
+                    b.num_rows, {})
+
+        metas = lineage.load_or_run(root, job_id, pid, kernel,
+                                    frags_in=[pid]).out_metas()
         staged.extend(metas)
         rows += b.num_rows
         n_batches += 1
@@ -82,7 +76,7 @@ def stream_append(table, batches, *, job_id: str,
     return t, {
         "job_id": job_id,
         "micro_batches": n_batches,
-        "resumed_skips": skipped,
+        "resumed_skips": n_batches - ran,
         "rows": rows,
         "commits": commits,
         "seconds": round(secs, 3),

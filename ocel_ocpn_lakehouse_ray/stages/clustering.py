@@ -10,8 +10,9 @@ phash/w/h min-max) → predicate pruning becomes effective (the whole point of
 the manifest rewrite).
 
 Physical shape (SURVEY.md §7 step 5) — ONE all-to-all exchange:
-  1. sample salted cluster keys → P-1 range boundaries (persisted to the job
-     journal so a RESUMED run reuses the same partitioning, never re-samples);
+  1. sample salted cluster keys → P-1 range boundaries (persisted in the job
+     meta, fingerprinted by order and an explicit partition count, so a
+     RESUMED run reuses the same partitioning, never re-samples);
   2. map_batches: vectorized key kernel (functions/zorder.py) + searchsorted
      partition assignment.  Hot keys — the injected 10 % hot-phash skew —
      share one cluster key, so ranges are cut on a SALTED key
@@ -19,8 +20,8 @@ Physical shape (SURVEY.md §7 step 5) — ONE all-to-all exchange:
      partitions without disturbing the order of distinct keys (north_rule
      skew handling);
   3. storage-partitioned exchange (stages/fs_shuffle.py), one reduce task
-     per range partition: sort within partition, write content-addressed
-     fragments, journal lineage per partition.
+     per range partition — one partition of the journal protocol
+     (state/lineage.py): sort within partition, write fragments.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import pyarrow as pa
 
 from ..functions.hashing import hash_strings
 from ..functions.zorder import hilbert_key, salted_key, zorder_key
-from ..sources.fragments import write_table_as_fragments
 from ..state import lineage
 from .shuffle import choose_num_partitions
 
@@ -116,45 +116,32 @@ def sample_boundaries(table, order: str, num_parts: int, sample_frac: float = No
     return [int(q) for q in qs]
 
 
-def _write_partition(group: pa.Table, *, root, job_id, target_bytes, failpoint=None) -> pa.Table:
-    """Reduce function (one plain Ray task per partition): one group = one range
-    partition → sort by cluster key, strip helper columns, write fragments,
-    journal lineage.  Idempotent: a journaled partition is returned as-is."""
-    from ..sources.fragments import metas_to_batch
+def _write_partition(group: pa.Table, *, root, job_id, target_bytes, failpoint=None) -> None:
+    """Reduce function (one plain Ray task per partition): one group = one
+    range partition of the journal protocol → sort by cluster key, strip
+    helper columns, write fragments stamped with their cluster-key range."""
+    part = group[PART_COL][0].as_py()
+    pid = f"part-{part:05d}"
 
-    pid = f"part-{group[PART_COL][0].as_py():05d}"
-    prior = lineage.load_record(root, job_id, pid)
-    if prior is not None:
-        return metas_to_batch(prior.out_metas())
-    if failpoint is not None and group[PART_COL][0].as_py() >= failpoint:
-        raise RuntimeError(f"failpoint: simulated crash at {pid}")
-    g = group.sort_by([(SKEY_COL, "ascending")])
-    skey = g[SKEY_COL].to_numpy()
-    data = g.drop_columns([SKEY_COL, PART_COL])
-    metas = write_table_as_fragments(
-        root, data, target_bytes=target_bytes, name_parts=(job_id, pid),
-    )
-    # record the cluster-key range per fragment (manifest-rewrite payload)
-    rows_per = -(-data.num_rows // max(1, len(metas)))
-    for i, m in enumerate(metas):
-        lo, hi = i * rows_per, min((i + 1) * rows_per, data.num_rows) - 1
-        m.stats["cluster_key"] = {
-            "min": int(skey[lo] >> np.uint64(16)),
-            "max": int(skey[hi] >> np.uint64(16)),
-            "null_count": 0,
-        }
-    lineage.write_record(
-        root,
-        lineage.PartitionRecord(
-            job_id=job_id,
-            partition_id=pid,
-            frags_in=["<full-table>"],
-            frags_out=[m.to_dict() for m in metas],
-            rows=data.num_rows,
-            bytes=sum(m.bytes for m in metas),
-        ),
-    )
-    return metas_to_batch(metas)
+    def kernel(write):
+        if failpoint is not None and part >= failpoint:
+            raise RuntimeError(f"failpoint: simulated crash at {pid}")
+        g = group.sort_by([(SKEY_COL, "ascending")])
+        skey = g[SKEY_COL].to_numpy()
+        data = g.drop_columns([SKEY_COL, PART_COL])
+        metas = write(data, target_bytes=target_bytes)
+        # record the cluster-key range per fragment (manifest-rewrite payload)
+        rows_per = -(-data.num_rows // max(1, len(metas)))
+        for i, m in enumerate(metas):
+            lo, hi = i * rows_per, min((i + 1) * rows_per, data.num_rows) - 1
+            m.stats["cluster_key"] = {
+                "min": int(skey[lo] >> np.uint64(16)),
+                "max": int(skey[hi] >> np.uint64(16)),
+                "null_count": 0,
+            }
+        return metas, data.num_rows, {}
+
+    lineage.load_or_run(root, job_id, pid, kernel, frags_in=["<full-table>"])
 
 
 def run_clustering(table, *, order: str | None = None, job_id: str | None = None,
@@ -164,20 +151,20 @@ def run_clustering(table, *, order: str | None = None, job_id: str | None = None
     partitions come from the journal)."""
     cfg = table.config
     order = order or (cfg.cluster_order if cfg.cluster_order != "none" else "zorder")
-    chain = f"b-{table.branch}-" if getattr(table, "branch", None) else ""
-    job_id = job_id or f"cluster-{order}-{chain}v{table.version}"
+    job_id = job_id or lineage.default_job_id(f"cluster-{order}", table)
     t0 = time.time()
 
-    meta = lineage.load_job_meta(table.root, job_id)
-    if meta is None:
+    def plan() -> dict:
         P = num_partitions or choose_num_partitions(
             table.manifest.total_bytes, cfg.target_fragment_bytes,
             num_fragments=len(table.fragments),
         )
-        bounds = sample_boundaries(table, order, P)
-        meta = {"order": order, "num_parts": P, "boundaries": bounds,
+        return {"order": order, "num_parts": P,
+                "boundaries": sample_boundaries(table, order, P),
                 "base_version": table.version}
-        lineage.write_job_meta(table.root, job_id, meta)
+
+    meta = lineage.open_job(table.root, job_id,
+                            lineage.fingerprint(order, num_partitions), plan)
     bounds = np.array(meta["boundaries"], dtype=np.uint64)
     P = meta["num_parts"]
 

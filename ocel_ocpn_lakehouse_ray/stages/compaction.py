@@ -6,10 +6,9 @@ nothing is rewritten).  Here the plan is executed.
 Physical shape (SURVEY.md §7 step 4): compaction needs NO shuffle — each bin
 is an independent read→concat→write task.  The driver plans over manifest
 metadata (tiny); a ``Dataset`` of bin descriptors fans the rewrites out as
-``map_batches`` tasks; each finished bin writes a per-partition lineage record
-(state/lineage.py) BEFORE the final manifest commit, so an interrupted run
-resumes by skipping journaled bins.  Fragment outputs are content-addressed →
-a Ray-retried bin task recreates identical files (idempotent).
+``map_batches`` tasks, each bin one partition of the journal protocol
+(state/lineage.py); the job fingerprints its bin plan, so a resume over a
+re-packed plan raises instead of rewriting a fragment twice.
 
 At 100 TB: bins are ~target_fragment_bytes (256 MB) units, so a full-table
 compaction is ~400k independent 256 MB read+write tasks with zero data
@@ -27,7 +26,6 @@ from dataclasses import dataclass, field
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..sources.fragments import metas_to_batch, write_table_as_fragments
 from ..state import lineage
 from ..state.manifest import FragmentMeta
 from .health import estimate_compaction
@@ -81,43 +79,26 @@ def plan_compaction(fragments, *, target_bytes: int, small_bytes: int) -> Compac
 def _compact_bin(batch: pa.Table, *, root: str, job_id: str, target_bytes: int,
                  failpoint=None) -> pa.Table:
     """map_batches stage (stateless TASK) over the bin-descriptor dataset:
-    one row = one bin.  Reads the bin's fragments directly with pyarrow (the
-    task-local analog of a custom datasource read), writes >=1
-    content-addressed fragments, records lineage, and emits the new fragment
-    metadata rows.  Idempotent: journaled bins are returned as-is (Ray retry
-    safety)."""
-    out = []
+    one row = one bin, run through the journal protocol (state/lineage.py).
+    The kernel reads the bin's fragments directly with pyarrow (the
+    task-local analog of a custom datasource read) and concatenates them."""
     for row in batch.to_pylist():
         bin_id = row["bin_id"]
-        prior = lineage.load_record(root, job_id, bin_id)
-        if prior is not None:  # already journaled (retried task)
-            out.extend(prior.out_metas())
-            continue
-        if failpoint is not None and int(bin_id.split("-")[1]) >= failpoint:
-            raise RuntimeError(f"failpoint: simulated crash at {bin_id}")
-        paths = json.loads(row["paths"])
-        # single-threaded reads: one bin task per CPU; arrow's default
-        # 8-thread IO pool across 16 concurrent tasks thrashes the bus
-        tables = [pq.read_table(os.path.join(root, p), use_threads=False,
-                            memory_map=True)
-                  for p in paths]
-        merged = pa.concat_tables(tables)  # zero-copy chunk-list concat
-        metas = write_table_as_fragments(
-            root, merged, target_bytes=target_bytes, name_parts=(job_id, bin_id),
-        )
-        lineage.write_record(
-            root,
-            lineage.PartitionRecord(
-                job_id=job_id,
-                partition_id=bin_id,
-                frags_in=json.loads(row["frag_ids"]),
-                frags_out=[m.to_dict() for m in metas],
-                rows=merged.num_rows,
-                bytes=sum(m.bytes for m in metas),
-            ),
-        )
-        out.extend(metas)
-    return metas_to_batch(out)
+
+        def kernel(write):
+            if failpoint is not None and int(bin_id.split("-")[1]) >= failpoint:
+                raise RuntimeError(f"failpoint: simulated crash at {bin_id}")
+            # single-threaded reads: one bin task per CPU; arrow's default
+            # 8-thread IO pool across 16 concurrent tasks thrashes the bus
+            merged = pa.concat_tables(  # zero-copy chunk-list concat
+                [pq.read_table(os.path.join(root, p), use_threads=False,
+                               memory_map=True)
+                 for p in json.loads(row["paths"])])
+            return write(merged, target_bytes=target_bytes), merged.num_rows, {}
+
+        lineage.load_or_run(root, job_id, bin_id, kernel,
+                            frags_in=json.loads(row["frag_ids"]))
+    return batch.slice(0, 0)
 
 
 def run_compaction(table, *, job_id: str | None = None, failpoint: int | None = None):
@@ -129,8 +110,7 @@ def run_compaction(table, *, job_id: str | None = None, failpoint: int | None = 
     import ray.data
 
     cfg = table.config
-    chain = f"b-{table.branch}-" if getattr(table, "branch", None) else ""
-    job_id = job_id or f"compact-{chain}v{table.version}"
+    job_id = job_id or lineage.default_job_id("compact", table)
     t0 = time.time()
     plan = plan_compaction(
         table.fragments,
@@ -140,38 +120,25 @@ def run_compaction(table, *, job_id: str | None = None, failpoint: int | None = 
     if not plan.bins:
         return table, {"job_id": job_id, "bins": 0, "rows": 0, "seconds": 0.0,
                        "skipped": "nothing to compact", "estimate": plan.estimate}
+    bin_frags = [[f.fragment_id for f in b] for b in plan.bins]
+    lineage.open_job(table.root, job_id, lineage.fingerprint(bin_frags))
 
-    done = lineage.load_records(table.root, job_id)
-    bin_rows = []
-    for i, b in enumerate(plan.bins):
-        bin_id = f"bin-{i:05d}"
-        bin_rows.append({
-            "bin_id": bin_id,
-            "paths": json.dumps([f.path for f in b]),
-            "frag_ids": json.dumps([f.fragment_id for f in b]),
-            "done": bin_id in done,
-        })
-    pending = [r for r in bin_rows if not r["done"]]
-
-    if pending:
-        ds = ray.data.from_items(pending)
-        meta_ds = ds.map_batches(
-            _compact_bin,
-            fn_kwargs=dict(root=table.root, job_id=job_id,
-                           target_bytes=cfg.target_fragment_bytes, failpoint=failpoint),
-            batch_format="pyarrow",
-            batch_size=1,
-        )
-        meta_ds.materialize()  # drive all bin tasks; results land in the journal
+    bin_ids = [f"bin-{i:05d}" for i in range(len(plan.bins))]
+    ray.data.from_items([
+        {"bin_id": bin_id, "paths": json.dumps([f.path for f in b]),
+         "frag_ids": json.dumps(ids)}
+        for bin_id, b, ids in zip(bin_ids, plan.bins, bin_frags)
+    ]).map_batches(
+        _compact_bin,
+        fn_kwargs=dict(root=table.root, job_id=job_id,
+                       target_bytes=cfg.target_fragment_bytes, failpoint=failpoint),
+        batch_format="pyarrow",
+        batch_size=1,
+    ).materialize()  # drive all bin tasks; results land in the journal
 
     # Build the commit from the journal (works for fresh AND resumed runs)
-    records = lineage.load_records(table.root, job_id)
-    missing = [r["bin_id"] for r in bin_rows if r["bin_id"] not in records]
-    if missing:
-        raise RuntimeError(f"compaction incomplete: bins {missing} not journaled")
     add, remove_ids, rows = [], set(), 0
-    for r in bin_rows:
-        rec = records[r["bin_id"]]
+    for rec in lineage.collect(table.root, job_id, bin_ids, "compaction"):
         add.extend(rec.out_metas())
         remove_ids.update(rec.frags_in)
         rows += rec.rows

@@ -1,17 +1,19 @@
-"""Predicate DELETE: copy-on-write row deletion — the remaining DML verb
-next to MERGE INTO (`stages/merge.py`), absent from the reference's
-advisory maintenance layer but required by any real lakehouse user.
+"""Predicate DELETE and the predicate-rewrite job behind DELETE and UPDATE
+(`stages/update.py`) — the DML verbs next to MERGE INTO (`stages/merge.py`),
+absent from the reference's advisory maintenance layer but required by any
+real lakehouse user.
 
 Plan over manifest metadata only: fragments whose min/max stats CANNOT
 contain a matching row pass through untouched (`FragmentMeta.prune` — the
 same pruning MERGE uses); each candidate fragment becomes one independent
-rewrite task that reads the fragment, drops matching rows vectorized
-(`pyarrow.compute`), and writes the survivor fragment (or nothing, if every
-row matched).  No shuffle, no exchange — the same embarrassingly-parallel
-scaling class as compaction, bounded by storage bandwidth at 100 TB.
-
-Resumable: each fragment journals a lineage record; rerunning the same
-job_id skips journaled fragments and rebuilds the commit from the journal.
+rewrite task (one partition of the journal protocol, state/lineage.py) that
+reads the fragment, computes the matching rows vectorized
+(`pyarrow.compute`) and applies the verb's transform: DELETE drops the
+matches, UPDATE applies its SET expressions to them.  A candidate with no
+match keeps its original fragment (no rewrite churn).  No shuffle, no
+exchange — the same embarrassingly-parallel scaling class as compaction,
+bounded by storage bandwidth at 100 TB.  The predicates (and SETs) are the
+job's fingerprint: folded into the default job id and checked on resume.
 
 Supported predicates (each a dict, combined with AND):
   {"column": c, "op": "between", "lo": x, "hi": y}
@@ -21,44 +23,19 @@ Supported predicates (each a dict, combined with AND):
 
 from __future__ import annotations
 
-import hashlib
 import json
+import os
 import time
 
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..sources.fragments import batch_to_metas, metas_to_batch, write_table_as_fragments
 from ..state import lineage
 
 
-def predicate_fingerprint(*objs) -> str:
-    """Stable short hash of a DML job's predicate/SET payload.  Folded into
-    the default job_id AND checked against the lineage job meta on resume:
-    journal records written under one predicate must never be reused by a
-    rerun with a different one (same-version rerun after an interrupted
-    DELETE would otherwise silently mix two predicates into one commit)."""
-    blob = json.dumps(objs, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()[:10]
-
-
-def check_job_meta(root: str, job_id: str, fp: str, payload: dict) -> None:
-    """First run writes {fingerprint, payload} to the job meta; a resume with
-    a different fingerprint (same explicit job_id, different predicates/sets)
-    raises instead of reusing the stale journal."""
-    meta = lineage.load_job_meta(root, job_id)
-    if meta is None:
-        lineage.write_job_meta(root, job_id, {"fingerprint": fp, **payload})
-    elif meta.get("fingerprint") != fp:
-        raise ValueError(
-            f"job {job_id!r} was previously run with different "
-            f"predicates/sets (journal fingerprint {meta.get('fingerprint')} "
-            f"!= {fp}); use a fresh job_id or clear the journal")
-
-
 def _match_expr(batch: pa.Table, predicates: list[dict]):
-    """Boolean mask of rows MATCHING every predicate (AND) — these rows are
-    deleted."""
+    """Boolean mask of rows MATCHING every predicate (AND) — the rows
+    DELETE drops and UPDATE rewrites."""
     import numpy as np
 
     # explicit bool dtype: pa.array([]) would infer NULL type (the empty-
@@ -94,94 +71,95 @@ def _fragment_may_match(frag, predicates: list[dict]) -> bool:
     return True
 
 
-def _delete_in_fragment(batch: pa.Table, *, root: str, job_id: str,
-                        predicates_json: str, target_bytes: int,
-                        failpoint: int | None = None) -> pa.Table:
-    """One task per candidate fragment: read → drop matches → rewrite."""
+def _rewrite_fragment(batch: pa.Table, *, root: str, job_id: str,
+                      predicates_json: str, transform, count_key: str,
+                      target_bytes: int,
+                      failpoint: int | None = None) -> pa.Table:
+    """One task per candidate fragment: read → match → transform →
+    rewrite; a fragment with no match journals a pass-through record."""
     import pyarrow.parquet as pq
-    import os
 
     predicates = json.loads(predicates_json)
-    out = []
     for row in batch.to_pylist():
-        fid = row["frag_id"]
-        if failpoint is not None and row["idx"] == failpoint:
-            raise RuntimeError(f"failpoint fragment {row['idx']}")
-        if lineage.load_record(root, job_id, fid) is not None:
-            continue  # resumed: already journaled
-        tbl = pq.read_table(os.path.join(root, row["path"]),
-                            use_threads=False)
-        mask = _match_expr(tbl, predicates)
-        deleted = int(pc.sum(mask).as_py() or 0)
-        if deleted == 0:  # stats over-approximated; keep the original file
-            lineage.write_record(root, lineage.PartitionRecord(
-                job_id=job_id, partition_id=fid, frags_in=[fid],
-                frags_out=[], rows=tbl.num_rows, bytes=0,
-                extra={"deleted": 0}))
-            continue
-        keep = tbl.filter(pc.invert(mask))
-        metas = (write_table_as_fragments(
-            root, keep, target_bytes=target_bytes,
-            name_parts=(job_id, fid)) if keep.num_rows else [])
-        lineage.write_record(root, lineage.PartitionRecord(
-            job_id=job_id, partition_id=fid, frags_in=[fid],
-            frags_out=[m.to_dict() for m in metas],
-            rows=keep.num_rows, bytes=sum(m.bytes for m in metas),
-            extra={"deleted": deleted}))
-        out.extend(metas)
-    return metas_to_batch(out)
+        def kernel(write):
+            if failpoint is not None and row["idx"] == failpoint:
+                raise RuntimeError(f"failpoint fragment {row['idx']}")
+            tbl = pq.read_table(os.path.join(root, row["path"]),
+                                use_threads=False)
+            mask = _match_expr(tbl, predicates)
+            n = int(pc.sum(mask).as_py() or 0)
+            if n == 0:  # stats over-approximated; keep the original file
+                return [], tbl.num_rows, {count_key: 0}
+            out = transform(tbl, mask)
+            return (write(out, target_bytes=target_bytes), out.num_rows,
+                    {count_key: n})
+
+        lineage.load_or_run(root, job_id, row["frag_id"], kernel,
+                            frags_in=[row["frag_id"]])
+    return batch.slice(0, 0)
 
 
-def run_delete(table, predicates: list[dict], *, job_id: str | None = None,
-               failpoint: int | None = None):
-    """Execute DELETE WHERE <predicates ANDed>; returns (new_table, report)."""
+def run_predicate_rewrite(table, verb: str, params: dict, transform, *,
+                          job_id: str | None = None,
+                          failpoint: int | None = None):
+    """The DELETE/UPDATE job: ``verb`` ("delete" | "update") names the job
+    id, operation and counter ("deleted" | "updated"); ``params`` holds
+    ``predicates`` (plus UPDATE's ``sets``) and is the job's fingerprint;
+    ``transform(tbl, mask)`` returns a candidate fragment's new rows.
+    Returns (new_table, report)."""
     import ray.data
 
-    fp = predicate_fingerprint(predicates)
-    chain = f"b-{table.branch}-" if getattr(table, "branch", None) else ""
-    job_id = job_id or f"delete-{chain}v{table.version}-{fp}"
+    count_key = f"{verb}d"
+    predicates = params["predicates"]
+    fp = lineage.fingerprint(*params.values())
+    job_id = job_id or lineage.default_job_id(verb, table, fp)
     t0 = time.time()
     candidates = [f for f in table.fragments
                   if _fragment_may_match(f, predicates)]
     pruned = len(table.fragments) - len(candidates)
     if not candidates:
-        return table, {"job_id": job_id, "deleted": 0, "rewritten": 0,
+        return table, {"job_id": job_id, count_key: 0, "rewritten": 0,
                        "pruned_fragments": pruned, "seconds": 0.0}
-    check_job_meta(table.root, job_id, fp,
-                   {"predicates": predicates, "base_version": table.version})
+    lineage.open_job(table.root, job_id, fp,
+                     lambda: {**params, "base_version": table.version})
 
     rows = [{"idx": i, "frag_id": f.fragment_id, "path": f.path}
             for i, f in enumerate(candidates)]
-    ds = ray.data.from_items(rows)
-    ds.map_batches(
-        _delete_in_fragment,
+    ray.data.from_items(rows).map_batches(
+        _rewrite_fragment,
         fn_kwargs=dict(root=table.root, job_id=job_id,
                        predicates_json=json.dumps(predicates),
+                       transform=transform, count_key=count_key,
                        target_bytes=table.config.target_fragment_bytes,
                        failpoint=failpoint),
         batch_format="pyarrow", batch_size=1,
     ).materialize()  # drive the tasks; results land in the journal
 
-    records = lineage.load_records(table.root, job_id)
-    missing = [f.fragment_id for f in candidates
-               if f.fragment_id not in records]
-    if missing:
-        raise RuntimeError(f"delete incomplete: fragments {missing} not journaled")
-    add, remove_ids, deleted = [], set(), 0
-    for f in candidates:
-        rec = records[f.fragment_id]
-        # a candidate with zero matches keeps its ORIGINAL fragment (no
-        # rewrite churn): the journaled output equals the input rows
-        if rec.extra.get("deleted", 0) == 0:
+    add, remove_ids, n = [], set(), 0
+    records = lineage.collect(table.root, job_id,
+                              [f.fragment_id for f in candidates], verb)
+    for rec in records:
+        if rec.extra[count_key] == 0:  # pass-through: original stays live
             continue
         add.extend(rec.out_metas())
-        remove_ids.add(f.fragment_id)
-        deleted += rec.extra["deleted"]
+        remove_ids.update(rec.frags_in)
+        n += rec.extra[count_key]
     elapsed = time.time() - t0
     new_table = table.commit(
-        operation="delete", add=add, remove_ids=remove_ids,
-        summary={"job_id": job_id, "deleted": deleted,
+        operation=verb, add=add, remove_ids=remove_ids,
+        summary={"job_id": job_id, count_key: n,
                  "rewritten": len(remove_ids), "pruned_fragments": pruned,
                  "seconds": round(elapsed, 3)})
-    report = dict(new_table.manifest.summary)
-    return new_table, report
+    return new_table, dict(new_table.manifest.summary)
+
+
+def _drop_matches(tbl: pa.Table, mask) -> pa.Table:
+    return tbl.filter(pc.invert(mask))
+
+
+def run_delete(table, predicates: list[dict], *, job_id: str | None = None,
+               failpoint: int | None = None):
+    """Execute DELETE WHERE <predicates ANDed>; returns (new_table, report)."""
+    return run_predicate_rewrite(table, "delete", {"predicates": predicates},
+                                 _drop_matches, job_id=job_id,
+                                 failpoint=failpoint)

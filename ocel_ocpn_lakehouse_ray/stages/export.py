@@ -71,6 +71,7 @@ def run_export(table, out_dir: str, *, job_id: str | None = None,
 
     from ..state import manifest as mf
     from ..sources.fragments import column_compression
+    from .fs_shuffle import drain
 
     job_id = job_id or f"export-v{table.version}"
     t0 = time.time()
@@ -89,23 +90,30 @@ def run_export(table, out_dir: str, *, job_id: str | None = None,
 
     @ray.remote(num_cpus=1)
     def write_shard(idx: int, paths: list[str], frag_ids: list[str]):
-        if failpoint is not None and idx == failpoint:
-            raise RuntimeError(f"failpoint shard {idx}")
-        name = f"shard-{idx:05d}.parquet"
-        final = os.path.join(out_dir, name)
-        tbl = pa.concat_tables(
-            [pq.read_table(p, columns=columns, use_threads=False)
-             for p in paths]
-        ).combine_chunks()
-        tmp = final + f".tmp.{os.getpid()}"
-        pq.write_table(tbl, tmp, compression=column_compression(tbl.schema))
-        os.replace(tmp, final)
-        rec = lineage.PartitionRecord(
-            job_id=job_id, partition_id=f"shard-{idx:05d}",
-            frags_in=frag_ids, frags_out=[], rows=tbl.num_rows,
-            bytes=os.path.getsize(final),
-            extra={"file": name})
-        lineage.write_record(root, rec)
+        pid = f"shard-{idx:05d}"
+
+        def kernel(write):
+            if failpoint is not None and idx == failpoint:
+                raise RuntimeError(f"failpoint shard {idx}")
+            name = f"{pid}.parquet"
+            final = os.path.join(out_dir, name)
+            tbl = pa.concat_tables(
+                [pq.read_table(p, columns=columns, use_threads=False)
+                 for p in paths]
+            ).combine_chunks()
+            tmp = final + f".tmp.{os.getpid()}"
+            pq.write_table(tbl, tmp, compression=column_compression(tbl.schema))
+            os.replace(tmp, final)
+            # the shard is the partition's one output file (path relative
+            # to out_dir, not to the table root)
+            shard = mf.FragmentMeta(fragment_id=pid, path=name,
+                                    rows=tbl.num_rows,
+                                    bytes=os.path.getsize(final))
+            return [shard], tbl.num_rows, {"file": name}
+
+        # run, never load: a journaled shard whose file is missing from
+        # out_dir (a rerun into another directory) must be rewritten
+        lineage.run_partition(root, job_id, pid, kernel, frags_in=frag_ids)
         return idx
 
     refs = []
@@ -119,31 +127,19 @@ def run_export(table, out_dir: str, *, job_id: str | None = None,
         refs.append(write_shard.remote(
             i, table.fragment_paths(shard),
             [f.fragment_id for f in shard]))
-    # drain EVERY task before surfacing the first error: in-flight shards
-    # finish and journal, so the resume run only redoes the failed ones
-    first_err = None
-    for r in refs:
-        try:
-            ray.get(r)
-        except Exception as e:  # noqa: BLE001 — re-raised below
-            first_err = first_err or e
-    if first_err is not None:
-        raise first_err
+    # in-flight shards finish and journal, so the resume run only redoes
+    # the failed ones
+    drain(refs)
 
-    records = lineage.load_records(root, job_id)
     # Manifest covers exactly the shards PLANNED IN THIS RUN, in numeric
     # shard order: the journal may hold stale records from a prior run of
     # the same job_id over a different table version / shard plan, and a
     # lexical sort of 'shard-NNNNN' ids mis-orders shards once the zero
     # padding overflows (past shard 99999 at the ~400k-shard scale the
     # module docstring targets).
-    planned = [f"shard-{i:05d}" for i in range(len(shards))]
-    unjournaled = [pid for pid in planned if pid not in records]
-    if unjournaled:
-        raise RuntimeError(
-            f"export incomplete: {len(unjournaled)} planned shards have no "
-            f"journal record (first: {unjournaled[0]})")
-    recs = [records[pid] for pid in planned]
+    recs = lineage.collect(root, job_id,
+                           [f"shard-{i:05d}" for i in range(len(shards))],
+                           "export")
     manifest = {
         "table_root": root,
         "table_version": table.version,

@@ -21,8 +21,9 @@ independent seeks, the same I/O pattern as separate files without the
 metadata/inode storm at high P × many map tasks).
 
 Reduce tasks are plain Ray tasks (one per partition) whose group function is
-responsible for idempotence (both callers journal lineage per partition, so a
-retried or resumed reduce returns the journaled result without rewriting)."""
+responsible for idempotence (every caller runs the journal protocol of
+state/lineage.py per partition, so a retried or resumed reduce returns the
+journaled result without rewriting)."""
 
 from __future__ import annotations
 
@@ -101,6 +102,25 @@ def read_partition(pieces: list[tuple[str, int]]) -> pa.Table:
     return pa.concat_tables(tables).combine_chunks()
 
 
+def drain(refs: list) -> list:
+    """``ray.get`` every ref, waiting for ALL tasks before re-raising the
+    first error: a caller's cleanup then never deletes inputs under a
+    sibling that is still running, and every sibling that can finish
+    journals its partition, so a crashed job journals the same set of
+    records from run to run."""
+    import ray
+
+    out, first_err = [], None
+    for r in refs:
+        try:
+            out.append(ray.get(r))
+        except Exception as e:  # noqa: BLE001 — re-raised below
+            first_err = first_err or e
+    if first_err is not None:
+        raise first_err
+    return out
+
+
 def fs_reduce(manifest: dict, reduce_fn, fn_kwargs: dict | None = None):
     """Fan one Ray task per manifest partition; returns reduce outputs."""
     import ray
@@ -117,9 +137,8 @@ def fs_reduce(manifest: dict, reduce_fn, fn_kwargs: dict | None = None):
             pa.set_io_thread_count(1)
         return reduce_fn(read_partition(pieces), **fn_kwargs)
 
-    refs = [reduce_task.remote(p, pieces)
-            for p, pieces in sorted(manifest.items())]
-    return ray.get(refs)
+    return drain([reduce_task.remote(p, pieces)
+                  for p, pieces in sorted(manifest.items())])
 
 
 def fs_shuffle_groups(ds, *, part_col: str, work_dir: str, reduce_fn,

@@ -23,8 +23,7 @@ Physical shape (SURVEY.md §7 step 7):
   3. **Per-partition upsert** — within a partition a vectorized Arrow
      anti-join keeps target rows whose key has no source row, then appends all
      source rows (update-wins; source-internal dups resolved keep-last).
-     Writes are content-addressed; lineage is journaled per partition →
-     resumable like every other job.
+     Each partition runs the journal protocol (state/lineage.py).
 
 Skew note (north_rule): image_id is unique, so hash partitions are uniform —
 the phash hot keys do NOT concentrate here (they hit the clustering job's
@@ -146,67 +145,54 @@ def prune_touched_distributed(table, src_files, *, batch_size: int = 65536):
 
 def _merge_partition(group: pa.Table, *, root, job_id, target_bytes,
                      key_col: str = "image_id", failpoint=None,
-                     delete_col: str | None = None) -> pa.Table:
+                     delete_col: str | None = None) -> None:
     """Reduce upsert (one plain Ray task): one group = one hash partition of
     both sides; vectorized anti-join keeps unmatched target rows, source rows
     win.  With ``delete_col`` set, source rows flagged true are WHEN MATCHED
     THEN DELETE markers: matched target rows are dropped and the marker row
-    is never inserted (an unmatched marker is a no-op).  Idempotent via the
-    lineage journal + content-addressed writes."""
-    from ..sources.fragments import metas_to_batch, write_table_as_fragments
-
+    is never inserted (an unmatched marker is a no-op).  One partition of
+    the journal protocol (state/lineage.py)."""
     part = group[PART_COL][0].as_py()
     pid = f"part-{part:05d}"
-    prior = lineage.load_record(root, job_id, pid)
-    if prior is not None:
-        return metas_to_batch(prior.out_metas())
-    if failpoint is not None and part >= failpoint:
-        raise RuntimeError(f"failpoint: simulated crash at {pid}")
-    side = group[SIDE_COL].to_numpy()
-    tgt = group.filter(pa.array(side == 0))
-    src = group.filter(pa.array(side == 1))
-    deletes = 0
-    if src.num_rows:
-        # source-internal dups: keep the LAST occurrence per key (a key that
-        # appears as both upsert and delete marker resolves to the last row)
-        sk = src[key_col].to_pylist()
-        last = {k: i for i, k in enumerate(sk)}
-        if len(last) != src.num_rows:
-            src = src.take(pa.array(sorted(last.values())))
-        if delete_col and delete_col in src.column_names:
-            dmask = pc.fill_null(pc.cast(src[delete_col], pa.bool_()), False)
-            del_keys = src.filter(dmask)[key_col].combine_chunks()
-            src = src.filter(pc.invert(dmask))
-            if len(del_keys):
-                hit_del = pc.is_in(tgt[key_col], value_set=del_keys)
-                deletes = int(pc.sum(hit_del).as_py() or 0)
-                tgt = tgt.filter(pc.invert(hit_del))
-        # anti-join: target rows whose key is absent from source survive
-        keep = pc.invert(pc.is_in(tgt[key_col], value_set=src[key_col]))
-        merged = pa.concat_tables([tgt.filter(keep), src]).combine_chunks()
-    else:
-        merged = tgt
-    drop = [SIDE_COL, PART_COL]
-    if delete_col and delete_col in merged.column_names:
-        drop.append(delete_col)
-    merged = merged.drop_columns(drop)
-    metas = write_table_as_fragments(
-        root, merged, target_bytes=target_bytes, name_parts=(job_id, pid),
-    )
-    lineage.write_record(
-        root,
-        lineage.PartitionRecord(
-            job_id=job_id, partition_id=pid,
-            frags_in=[f"part:{part}"],
-            frags_out=[m.to_dict() for m in metas],
-            rows=merged.num_rows,
-            bytes=sum(m.bytes for m in metas),
-            extra={"updates": int(tgt.num_rows - (merged.num_rows - src.num_rows)),
-                   "inserts": int(merged.num_rows - tgt.num_rows),
-                   "deletes": deletes},
-        ),
-    )
-    return metas_to_batch(metas)
+
+    def kernel(write):
+        if failpoint is not None and part >= failpoint:
+            raise RuntimeError(f"failpoint: simulated crash at {pid}")
+        side = group[SIDE_COL].to_numpy()
+        tgt = group.filter(pa.array(side == 0))
+        src = group.filter(pa.array(side == 1))
+        deletes = 0
+        if src.num_rows:
+            # source-internal dups: keep the LAST occurrence per key (a key
+            # that appears as both upsert and delete marker resolves to the
+            # last row)
+            sk = src[key_col].to_pylist()
+            last = {k: i for i, k in enumerate(sk)}
+            if len(last) != src.num_rows:
+                src = src.take(pa.array(sorted(last.values())))
+            if delete_col and delete_col in src.column_names:
+                dmask = pc.fill_null(pc.cast(src[delete_col], pa.bool_()), False)
+                del_keys = src.filter(dmask)[key_col].combine_chunks()
+                src = src.filter(pc.invert(dmask))
+                if len(del_keys):
+                    hit_del = pc.is_in(tgt[key_col], value_set=del_keys)
+                    deletes = int(pc.sum(hit_del).as_py() or 0)
+                    tgt = tgt.filter(pc.invert(hit_del))
+            # anti-join: target rows whose key is absent from source survive
+            keep = pc.invert(pc.is_in(tgt[key_col], value_set=src[key_col]))
+            merged = pa.concat_tables([tgt.filter(keep), src]).combine_chunks()
+        else:
+            merged = tgt
+        drop = [SIDE_COL, PART_COL]
+        if delete_col and delete_col in merged.column_names:
+            drop.append(delete_col)
+        merged = merged.drop_columns(drop)
+        return (write(merged, target_bytes=target_bytes), merged.num_rows,
+                {"updates": int(tgt.num_rows - (merged.num_rows - src.num_rows)),
+                 "inserts": int(merged.num_rows - tgt.num_rows),
+                 "deletes": deletes})
+
+    lineage.load_or_run(root, job_id, pid, kernel, frags_in=[f"part:{part}"])
 
 
 def choose_merge_plan(src_bytes: int, touched_bytes: int) -> str:
@@ -252,8 +238,7 @@ def run_merge(table, source_ds, *, job_id: str | None = None,
     import ray.data
 
     cfg = table.config
-    chain = f"b-{table.branch}-" if getattr(table, "branch", None) else ""
-    job_id = job_id or f"merge-{chain}v{table.version}"
+    job_id = job_id or lineage.default_job_id("merge", table)
     t0 = time.time()
     ph = {}  # per-phase seconds (stage_source / plan / shuffle / commit)
     subph = {}  # cow sub-phases (inside 'shuffle'); reported separately

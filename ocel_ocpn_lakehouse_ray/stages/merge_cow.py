@@ -45,6 +45,7 @@ holds them rather than collapsed to one row.
 
 from __future__ import annotations
 
+import glob
 import os
 
 import numpy as np
@@ -60,46 +61,28 @@ FRAG_COL = "__fidx"   # int32 index into the sorted touched-fragment list
 INSERT_KEY = -1       # routing tag for "no candidate fragment"
 
 
-def _matched_dir(root: str, job_id: str) -> str:
-    return os.path.join(lineage.journal_dir(root, job_id), "matched")
+def _write_sidecar(root: str, job_id: str, kind: str, fragment_id: str,
+                   tbl: pa.Table) -> None:
+    """Idempotent journal sidecar ``<kind>/<fragment_id>.parquet`` (tmp +
+    atomic rename): ``matched`` holds the source keys a fragment consumed,
+    ``leftover`` its routed-but-unmatched source rows (full payload;
+    bounded by the routing false-positive rate, not the source)."""
+    import uuid
 
+    from ..sources.fragments import column_compression
 
-def _leftover_dir(root: str, job_id: str) -> str:
-    return os.path.join(lineage.journal_dir(root, job_id), "leftover")
-
-
-def _write_matched(root: str, job_id: str, fragment_id: str, keys) -> str:
-    """Idempotent journal sidecar: the source keys this fragment consumed."""
-    d = _matched_dir(root, job_id)
+    d = os.path.join(lineage.journal_dir(root, job_id), kind)
     os.makedirs(d, exist_ok=True)
     path = os.path.join(d, f"{fragment_id}.parquet")
     if not os.path.exists(path):
-        import uuid
-
         tmp = path + f".tmp.{os.getpid()}.{uuid.uuid4().hex[:6]}"
-        pq.write_table(pa.table({"image_id": pa.array(keys, pa.string())}), tmp)
+        pq.write_table(tbl, tmp, compression=column_compression(tbl.schema))
         os.replace(tmp, path)
-    return path
 
 
-def _write_leftover(root: str, job_id: str, fragment_id: str,
-                    rows: pa.Table) -> str | None:
-    """Idempotent journal sidecar: routed-but-unmatched source rows (full
-    payload; bounded by the routing false-positive rate, not the source)."""
-    if rows.num_rows == 0:
-        return None
-    d = _leftover_dir(root, job_id)
-    os.makedirs(d, exist_ok=True)
-    path = os.path.join(d, f"{fragment_id}.parquet")
-    if not os.path.exists(path):
-        import uuid
-
-        from ..sources.fragments import column_compression
-
-        tmp = path + f".tmp.{os.getpid()}.{uuid.uuid4().hex[:6]}"
-        pq.write_table(rows, tmp, compression=column_compression(rows.schema))
-        os.replace(tmp, path)
-    return path
+def _sidecars(root: str, job_id: str, kind: str) -> list[str]:
+    return sorted(glob.glob(
+        os.path.join(lineage.journal_dir(root, job_id), kind, "*.parquet")))
 
 
 def build_interval_index(frags):
@@ -276,8 +259,6 @@ def cow_merge(table, src_files: list[str], touched, *, job_id: str,
     import ray
     import ray.data
 
-    from ..sources.fragments import metas_to_batch, write_table_as_fragments
-
     _t0 = _time.time()
     root = table.root
     touched = sorted(touched, key=lambda f: f.fragment_id)
@@ -309,69 +290,69 @@ def cow_merge(table, src_files: list[str], touched, *, job_id: str,
                        insert_parts=p_ins),
         batch_format="pyarrow")
 
-    def rewrite(group: pa.Table) -> pa.Table:
+    def rewrite(group: pa.Table) -> None:
         fidx = group[FRAG_COL][0].as_py()
         fid = frag_ids[fidx]
         pid = f"cow-frag-{fid}"
-        prior = lineage.load_record(root, job_id, pid)
-        if prior is not None:
-            return metas_to_batch(prior.out_metas())
-        if failpoint is not None and fidx >= failpoint:
-            raise RuntimeError(f"failpoint: simulated crash at {pid}")
-        src = _dedup_keep_one(group.drop_columns([FRAG_COL]), "image_id")
-        deletes = 0
-        if delete_col and delete_col in src.column_names:
-            dmask = pc.fill_null(pc.cast(src[delete_col], pa.bool_()), False)
-            dels = src.filter(dmask)
-            src = src.filter(pc.invert(dmask)).drop_columns([delete_col])
-        else:
-            dels = None
-        # single-threaded read: this runs one-task-per-CPU; arrow's default
-        # parallel read thrashes when 16 tasks each fan 8 IO threads
-        tgt = pq.read_table(os.path.join(root, frag_paths[fidx]),
-                            use_threads=False, memory_map=True)
-        hit = pc.is_in(tgt["image_id"], value_set=src["image_id"].combine_chunks())
-        if dels is not None and dels.num_rows:
-            hit_del = pc.is_in(tgt["image_id"],
-                               value_set=dels["image_id"].combine_chunks())
-            deletes = int(pc.sum(hit_del).as_py() or 0)
-            hit = pc.or_(hit, hit_del)
-        # matched = source keys actually present in THIS fragment (upsert AND
-        # delete matches — both are consumed, so the insert pass skips them)
-        matched = tgt.filter(hit)["image_id"]
-        applied_mask = pc.is_in(src["image_id"],
-                                value_set=matched.combine_chunks())
-        applied = src.filter(applied_mask)
-        # concat without combine_chunks: concat is zero-copy (chunk-list
-        # append); combining would memcpy the full payload a second time
-        merged = pa.concat_tables([tgt.filter(pc.invert(hit)), applied])
-        metas = write_table_as_fragments(
-            root, merged, target_bytes=target_bytes, name_parts=(job_id, pid))
-        _write_matched(root, job_id, fid, matched.to_pylist())
-        # leftover = rows ROUTED here (range/bloom candidates) but matching
-        # no target row: bloom false positives and rows whose true match
-        # lives in another candidate fragment.  The insert pass consumes
-        # them (anti-joined against ALL matched sidecars), so no stage ever
-        # rescans the source.  Written BEFORE the lineage record → a
-        # journaled fragment's leftovers always exist on resume.
-        _write_leftover(root, job_id, fid, src.filter(pc.invert(applied_mask)))
-        lineage.write_record(root, lineage.PartitionRecord(
-            job_id=job_id, partition_id=pid,
-            frags_in=[fid],
-            frags_out=[m.to_dict() for m in metas],
-            rows=merged.num_rows,
-            bytes=sum(m.bytes for m in metas),
-            extra={"updates": int(applied.num_rows), "inserts": 0,
-                   "deletes": deletes},
-        ))
-        return metas_to_batch(metas)
+
+        def kernel(write):
+            if failpoint is not None and fidx >= failpoint:
+                raise RuntimeError(f"failpoint: simulated crash at {pid}")
+            src = _dedup_keep_one(group.drop_columns([FRAG_COL]), "image_id")
+            deletes = 0
+            if delete_col and delete_col in src.column_names:
+                dmask = pc.fill_null(pc.cast(src[delete_col], pa.bool_()), False)
+                dels = src.filter(dmask)
+                src = src.filter(pc.invert(dmask)).drop_columns([delete_col])
+            else:
+                dels = None
+            # single-threaded read: this runs one-task-per-CPU; arrow's
+            # default parallel read thrashes when 16 tasks each fan 8 IO
+            # threads
+            tgt = pq.read_table(os.path.join(root, frag_paths[fidx]),
+                                use_threads=False, memory_map=True)
+            hit = pc.is_in(tgt["image_id"],
+                           value_set=src["image_id"].combine_chunks())
+            if dels is not None and dels.num_rows:
+                hit_del = pc.is_in(tgt["image_id"],
+                                   value_set=dels["image_id"].combine_chunks())
+                deletes = int(pc.sum(hit_del).as_py() or 0)
+                hit = pc.or_(hit, hit_del)
+            # matched = source keys actually present in THIS fragment (upsert
+            # AND delete matches — both are consumed, so the insert pass
+            # skips them)
+            matched = tgt.filter(hit)["image_id"]
+            applied_mask = pc.is_in(src["image_id"],
+                                    value_set=matched.combine_chunks())
+            applied = src.filter(applied_mask)
+            # concat without combine_chunks: concat is zero-copy (chunk-list
+            # append); combining would memcpy the full payload a second time
+            merged = pa.concat_tables([tgt.filter(pc.invert(hit)), applied])
+            metas = write(merged, target_bytes=target_bytes)
+            _write_sidecar(root, job_id, "matched", fid,
+                           pa.table({"image_id": matched}))
+            # leftover = rows ROUTED here (range/bloom candidates) but
+            # matching no target row: bloom false positives and rows whose
+            # true match lives in another candidate fragment.  The insert
+            # pass consumes them (anti-joined against ALL matched sidecars),
+            # so no stage ever rescans the source.  Written BEFORE the
+            # lineage record → a journaled fragment's leftovers always exist
+            # on resume.
+            leftover = src.filter(pc.invert(applied_mask))
+            if leftover.num_rows:
+                _write_sidecar(root, job_id, "leftover", fid, leftover)
+            return metas, merged.num_rows, {
+                "updates": int(applied.num_rows), "inserts": 0,
+                "deletes": deletes}
+
+        lineage.load_or_run(root, job_id, pid, kernel, frags_in=[fid])
 
     # One REAL task per touched fragment via the storage-partitioned shuffle
     # (a Dataset.groupby().map_groups over the tiny routed source collapses
     # all groups into one block → one serial task; fs map + reduce fans one
     # Ray task per partition regardless of input size).  Only SOURCE rows
     # move; each task side-reads its fragment directly from table storage.
-    from .fs_shuffle import cleanup, fs_reduce, fs_shuffle_map
+    from .fs_shuffle import cleanup, drain, fs_reduce, fs_shuffle_map
 
     work = os.path.join(lineage.journal_dir(root, job_id), "cow-route")
     cleanup(work)
@@ -390,64 +371,49 @@ def cow_merge(table, src_files: list[str], touched, *, job_id: str,
         # anti-joined against the matched sidecars.  Every side here is
         # bounded by insert/update/false-positive counts — the source is
         # never rescanned and no Dataset groupby runs.
-        mdir, ldir = _matched_dir(root, job_id), _leftover_dir(root, job_id)
-        matched_files = sorted(
-            os.path.join(mdir, p) for p in
-            (os.listdir(mdir) if os.path.isdir(mdir) else [])
-            if p.endswith(".parquet"))
-        leftover_files = sorted(
-            os.path.join(ldir, p) for p in
-            (os.listdir(ldir) if os.path.isdir(ldir) else [])
-            if p.endswith(".parquet"))
+        matched_files = _sidecars(root, job_id, "matched")
+        leftover_files = _sidecars(root, job_id, "leftover")
         n_frags = len(frag_ids)
 
-        def write_inserts(group: pa.Table, *, part: int) -> pa.Table:
+        def write_inserts(group: pa.Table, *, part: int) -> None:
             pid = f"cow-insert-{part:05d}"
-            prior = lineage.load_record(root, job_id, pid)
-            if prior is not None:
-                return metas_to_batch(prior.out_metas())
-            if failpoint is not None and n_frags + part >= failpoint:
-                raise RuntimeError(f"failpoint: simulated crash at {pid}")
-            g = group.drop_columns([FRAG_COL])
-            if delete_col and delete_col in g.column_names:
-                # WHEN MATCHED THEN DELETE markers never insert (an
-                # unmatched marker is a no-op) — strip BEFORE the leftover
-                # concat: leftover sidecars are written marker-stripped, so
-                # both sides must share the schema
-                dmask = pc.fill_null(pc.cast(g[delete_col], pa.bool_()),
-                                     False)
-                g = g.filter(pc.invert(dmask)).drop_columns([delete_col])
-            pieces = [g]
-            # leftovers re-salt to THIS part's keys (files are FP-bounded
-            # small; read by each insert task — p_ins × tiny)
-            for f in leftover_files:
-                t = pq.read_table(f, use_threads=False)
-                if t.num_rows:
-                    sp = assign_hash_part(t, "image_id", p_ins)
-                    pieces.append(sp.filter(
-                        pc.equal(sp[PART_COL], part)).drop_columns([PART_COL]))
-            rows = pa.concat_tables(pieces).combine_chunks()
-            if matched_files:
-                # matched keys = update count, bounded by the source — the
-                # sidecars are key-only parquet, read once per insert task
-                mk = pa.concat_tables(
-                    [pq.read_table(f, use_threads=False)
-                     for f in matched_files])["image_id"].combine_chunks()
-                rows = rows.filter(
-                    pc.invert(pc.is_in(rows["image_id"], value_set=mk)))
-            rows = _dedup_keep_one(rows, "image_id")
-            metas = write_table_as_fragments(
-                root, rows, target_bytes=target_bytes,
-                name_parts=(job_id, pid))
-            lineage.write_record(root, lineage.PartitionRecord(
-                job_id=job_id, partition_id=pid,
-                frags_in=["source"],
-                frags_out=[m.to_dict() for m in metas],
-                rows=rows.num_rows,
-                bytes=sum(m.bytes for m in metas),
-                extra={"updates": 0, "inserts": int(rows.num_rows)},
-            ))
-            return metas_to_batch(metas)
+
+            def kernel(write):
+                if failpoint is not None and n_frags + part >= failpoint:
+                    raise RuntimeError(f"failpoint: simulated crash at {pid}")
+                g = group.drop_columns([FRAG_COL])
+                if delete_col and delete_col in g.column_names:
+                    # WHEN MATCHED THEN DELETE markers never insert (an
+                    # unmatched marker is a no-op) — strip BEFORE the
+                    # leftover concat: leftover sidecars are written
+                    # marker-stripped, so both sides must share the schema
+                    dmask = pc.fill_null(pc.cast(g[delete_col], pa.bool_()),
+                                         False)
+                    g = g.filter(pc.invert(dmask)).drop_columns([delete_col])
+                pieces = [g]
+                # leftovers re-salt to THIS part's keys (files are FP-bounded
+                # small; read by each insert task — p_ins × tiny)
+                for f in leftover_files:
+                    t = pq.read_table(f, use_threads=False)
+                    if t.num_rows:
+                        sp = assign_hash_part(t, "image_id", p_ins)
+                        pieces.append(sp.filter(
+                            pc.equal(sp[PART_COL], part)).drop_columns([PART_COL]))
+                rows = pa.concat_tables(pieces).combine_chunks()
+                if matched_files:
+                    # matched keys = update count, bounded by the source —
+                    # the sidecars are key-only parquet, read once per
+                    # insert task
+                    mk = pa.concat_tables(
+                        [pq.read_table(f, use_threads=False)
+                         for f in matched_files])["image_id"].combine_chunks()
+                    rows = rows.filter(
+                        pc.invert(pc.is_in(rows["image_id"], value_set=mk)))
+                rows = _dedup_keep_one(rows, "image_id")
+                return (write(rows, target_bytes=target_bytes), rows.num_rows,
+                        {"updates": 0, "inserts": int(rows.num_rows)})
+
+            lineage.load_or_run(root, job_id, pid, kernel, frags_in=["source"])
 
         # every insert partition runs even when the exchange routed it no
         # rows (leftovers alone can populate it) — and journaling each part
@@ -468,8 +434,8 @@ def cow_merge(table, src_files: list[str], touched, *, job_id: str,
             return write_inserts(group, part=k)
 
         ins_manifest = {p: v for p, v in manifest.items() if p < 0}
-        ray.get([insert_task.remote(k, ins_manifest.get(-1 - k, []))
-                 for k in range(p_ins)])
+        drain([insert_task.remote(k, ins_manifest.get(-1 - k, []))
+               for k in range(p_ins)])
     finally:
         cleanup(work)
     if phases is not None:

@@ -1,10 +1,8 @@
 """Predicate UPDATE: copy-on-write row mutation — completes the DML triple
 next to MERGE INTO (`stages/merge.py`) and DELETE (`stages/delete.py`).
 
-Same physical plan as DELETE: stats-pruned candidate fragments, one
-independent shuffle-free rewrite task per fragment applying the SET
-expressions vectorized to matching rows, zero-match candidates kept
-un-rewritten, per-fragment lineage for resume, one commit.
+Runs the predicate-rewrite job of `stages/delete.py` with the SET
+expressions as its per-fragment transform.
 
 SET expressions (applied in order to rows matching the WHERE predicates):
   {"column": c, "set": v}                       -> constant assignment
@@ -23,20 +21,12 @@ kernels — no per-row Python in the rewrite tasks.
 
 from __future__ import annotations
 
-import json
-import time
+from functools import partial
 
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..sources.fragments import metas_to_batch, write_table_as_fragments
-from ..state import lineage
-from .delete import (
-    _fragment_may_match,
-    _match_expr,
-    check_job_meta,
-    predicate_fingerprint,
-)
+from .delete import _match_expr, run_predicate_rewrite
 
 
 _BINOPS = {"+": pc.add, "-": pc.subtract, "*": pc.multiply, "/": pc.divide}
@@ -85,94 +75,10 @@ def _apply_sets(tbl: pa.Table, mask, sets: list[dict]) -> pa.Table:
     return tbl
 
 
-def _update_in_fragment(batch: pa.Table, *, root: str, job_id: str,
-                        predicates_json: str, sets_json: str,
-                        target_bytes: int,
-                        failpoint: int | None = None) -> pa.Table:
-    import os
-
-    import pyarrow.parquet as pq
-
-    predicates = json.loads(predicates_json)
-    sets = json.loads(sets_json)
-    out = []
-    for row in batch.to_pylist():
-        fid = row["frag_id"]
-        if failpoint is not None and row["idx"] == failpoint:
-            raise RuntimeError(f"failpoint fragment {row['idx']}")
-        if lineage.load_record(root, job_id, fid) is not None:
-            continue
-        tbl = pq.read_table(os.path.join(root, row["path"]),
-                            use_threads=False)
-        mask = _match_expr(tbl, predicates)
-        updated = int(pc.sum(mask).as_py() or 0)
-        if updated == 0:
-            lineage.write_record(root, lineage.PartitionRecord(
-                job_id=job_id, partition_id=fid, frags_in=[fid],
-                frags_out=[], rows=tbl.num_rows, bytes=0,
-                extra={"updated": 0}))
-            continue
-        new_tbl = _apply_sets(tbl, mask, sets)
-        metas = write_table_as_fragments(
-            root, new_tbl, target_bytes=target_bytes, name_parts=(job_id, fid))
-        lineage.write_record(root, lineage.PartitionRecord(
-            job_id=job_id, partition_id=fid, frags_in=[fid],
-            frags_out=[m.to_dict() for m in metas],
-            rows=new_tbl.num_rows, bytes=sum(m.bytes for m in metas),
-            extra={"updated": updated}))
-        out.extend(metas)
-    return metas_to_batch(out)
-
-
 def run_update(table, predicates: list[dict], sets: list[dict], *,
                job_id: str | None = None, failpoint: int | None = None):
     """Execute UPDATE SET <sets> WHERE <predicates ANDed>; returns
     (new_table, report)."""
-    import ray.data
-
-    fp = predicate_fingerprint(predicates, sets)
-    chain = f"b-{table.branch}-" if getattr(table, "branch", None) else ""
-    job_id = job_id or f"update-{chain}v{table.version}-{fp}"
-    t0 = time.time()
-    candidates = [f for f in table.fragments
-                  if _fragment_may_match(f, predicates)]
-    pruned = len(table.fragments) - len(candidates)
-    if not candidates:
-        return table, {"job_id": job_id, "updated": 0, "rewritten": 0,
-                       "pruned_fragments": pruned, "seconds": 0.0}
-    check_job_meta(table.root, job_id, fp,
-                   {"predicates": predicates, "sets": sets,
-                    "base_version": table.version})
-
-    rows = [{"idx": i, "frag_id": f.fragment_id, "path": f.path}
-            for i, f in enumerate(candidates)]
-    ray.data.from_items(rows).map_batches(
-        _update_in_fragment,
-        fn_kwargs=dict(root=table.root, job_id=job_id,
-                       predicates_json=json.dumps(predicates),
-                       sets_json=json.dumps(sets),
-                       target_bytes=table.config.target_fragment_bytes,
-                       failpoint=failpoint),
-        batch_format="pyarrow", batch_size=1,
-    ).materialize()
-
-    records = lineage.load_records(table.root, job_id)
-    missing = [f.fragment_id for f in candidates
-               if f.fragment_id not in records]
-    if missing:
-        raise RuntimeError(f"update incomplete: fragments {missing} not journaled")
-    add, remove_ids, updated = [], set(), 0
-    for f in candidates:
-        rec = records[f.fragment_id]
-        if rec.extra.get("updated", 0) == 0:
-            continue
-        add.extend(rec.out_metas())
-        remove_ids.add(f.fragment_id)
-        updated += rec.extra["updated"]
-    elapsed = time.time() - t0
-    new_table = table.commit(
-        operation="update", add=add, remove_ids=remove_ids,
-        summary={"job_id": job_id, "updated": updated,
-                 "rewritten": len(remove_ids), "pruned_fragments": pruned,
-                 "seconds": round(elapsed, 3)})
-    return new_table, dict(new_table.manifest.summary)
+    return run_predicate_rewrite(
+        table, "update", {"predicates": predicates, "sets": sets},
+        partial(_apply_sets, sets=sets), job_id=job_id, failpoint=failpoint)
