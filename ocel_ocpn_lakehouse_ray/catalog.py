@@ -14,8 +14,8 @@ another's files.
 
 Concurrency: catalog.json mutations are serialized by an flock on a sidecar
 lock (same recipe as the manifest ``_latest`` swap) and published by
-tmp+rename, so concurrent ``create_table`` calls from different processes
-are safe; the loser of a same-name race gets FileExistsError.
+``write_atomic``, so concurrent ``create_table`` calls from different
+processes are safe; the loser of a same-name race gets FileExistsError.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import re
 import pyarrow as pa
 
 from .config import TableConfig
+from .state.manifest import write_atomic
 from .table import LakeTable
 
 CATALOG_FILE = "catalog.json"
@@ -78,14 +79,12 @@ class Catalog:
         return os.path.join(self.warehouse, CATALOG_FILE + ".lock")
 
     def _publish(self, entries: dict[str, str]) -> None:
-        path = os.path.join(self.warehouse, CATALOG_FILE)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump({"tables": dict(sorted(entries.items()))}, f, indent=1)
-        os.replace(tmp, path)
+        write_atomic(os.path.join(self.warehouse, CATALOG_FILE),
+                     json.dumps({"tables": dict(sorted(entries.items()))},
+                                indent=1))
 
     def _mutate(self, fn) -> None:
-        """flock → re-read → fn(entries) mutates in place → tmp+rename."""
+        """flock → re-read → fn(entries) mutates in place → publish."""
         with open(self._lock_path(), "a+") as lk:
             fcntl.flock(lk, fcntl.LOCK_EX)
             try:

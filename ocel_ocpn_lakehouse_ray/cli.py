@@ -216,8 +216,9 @@ def main(argv=None):
                "branch_version": b.version}
     elif args.command == "branches":
         from .state import branches as _br
+        from .state import manifest as _mf
 
-        out = {"branches": {n: _br.read_branch_head(args.root, n)
+        out = {"branches": {n: _mf.read_latest_version(args.root, branch=n)
                             for n in _br.list_branches(args.root)}}
     elif args.command == "branch-delete":
         from .state import branches as _br

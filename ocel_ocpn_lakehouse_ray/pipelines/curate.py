@@ -38,6 +38,7 @@ from ..functions.text import (
     quality_metrics,
     word_shingle_sets,
 )
+from ..state.manifest import write_atomic
 from .dedup import BANDS, JACCARD_THRESHOLD, NUM_PERM
 from .queries import _read_wide, bucketed_groups
 
@@ -143,11 +144,8 @@ def curate_corpus(sf_dir: str, out_dir: str, *,
         md = docs.map_batches(meta_rows, batch_format="pyarrow").materialize()
         n_quality = md.count()
         _os.makedirs(_os.path.dirname(counts_path), exist_ok=True)
-        tmp = counts_path + ".tmp"
-        with open(tmp, "w") as f:
-            _json.dump({"n_input": int(n_input),
-                        "n_quality": int(n_quality)}, f)
-        _os.replace(tmp, counts_path)
+        write_atomic(counts_path, _json.dumps(
+            {"n_input": int(n_input), "n_quality": int(n_quality)}))
 
     # ---- exact dedup: losers of each fingerprint group --------------------
     def losers(g: pd.DataFrame) -> pd.DataFrame:

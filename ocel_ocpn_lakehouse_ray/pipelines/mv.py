@@ -71,18 +71,15 @@ class MaterializedView:
         metas = write_table_as_fragments(
             self.root, data, target_bytes=t.config.target_fragment_bytes,
         ) if data.num_rows else []
-        new = mf.commit_version(
-            self.root,
-            base_version=t.version,
+        new = t.commit(
             operation="mv-refresh",
             add=metas,
             remove_ids=t.manifest.fragment_ids(),   # full overwrite (S5)
-            schema=schema_to_meta(data.schema) if data.num_columns else t.manifest.schema,
-            config=t.manifest.config,
+            schema=schema_to_meta(data.schema) if data.num_columns else None,
             summary={"view": self.name, "rows": data.num_rows,
                      "refresh_seconds": round(time.time() - t0, 3)},
         )
-        return new.summary
+        return new.manifest.summary
 
     def read(self):
         return LakeTable.load(self.root).to_dataset()
@@ -161,13 +158,12 @@ class IncrementalAggView(MaterializedView):
         metas = write_table_as_fragments(
             self.root, data, target_bytes=t.config.target_fragment_bytes,
         ) if data.num_rows else []
-        new = mf.commit_version(
-            self.root, base_version=t.version, operation="mv-refresh",
+        new = t.commit(
+            operation="mv-refresh",
             add=metas, remove_ids=t.manifest.fragment_ids(),
             schema=schema_to_meta(data.schema),
-            config=t.manifest.config,
             summary={"view": self.name, "rows": int(data.num_rows),
                      "mode": mode, "source_version": src.version,
                      "refresh_seconds": round(time.time() - t0, 3)},
         )
-        return new.summary
+        return new.manifest.summary

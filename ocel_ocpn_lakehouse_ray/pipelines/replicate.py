@@ -45,12 +45,7 @@ def _read_state(dst_root: str) -> dict:
 
 
 def _write_state(dst_root: str, state: dict) -> None:
-    tmp = os.path.join(dst_root, f".{_STATE_FILE}.tmp.{uuid.uuid4().hex[:8]}")
-    with open(tmp, "w") as f:
-        json.dump(state, f)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, os.path.join(dst_root, _STATE_FILE))
+    mf.write_atomic(os.path.join(dst_root, _STATE_FILE), json.dumps(state))
 
 
 def _ship_fragments(src_root: str, dst_root: str, frags: list) -> int:
@@ -164,8 +159,8 @@ def replicate_branch(src_root: str, dst_root: str, name: str) -> dict:
     (fork_uuid, head version) so re-created source branches re-mirror."""
     from ..state import branches as br
 
-    src_head = br.load_branch_manifest(src_root, name)
-    src_fork = br.load_branch_manifest(src_root, name, 0)
+    src_head = mf.load_manifest(src_root, branch=name)
+    src_fork = mf.load_manifest(src_root, 0, branch=name)
     if not os.path.isdir(os.path.join(dst_root, mf.MANIFEST_DIR)):
         replicate(src_root, dst_root)  # bootstrap the follower's main first
     state = _read_state(dst_root)

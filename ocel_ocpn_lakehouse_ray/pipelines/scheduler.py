@@ -20,6 +20,8 @@ import os
 import time
 from dataclasses import dataclass, field
 
+from ..state.manifest import write_atomic
+
 
 @dataclass
 class ScheduledView:
@@ -103,10 +105,7 @@ class RefreshScheduler:
             }
             for name, sv in self.views.items()
         }
-        tmp = self.stats_path + f".tmp.{os.getpid()}"
-        with open(tmp, "w") as f:
-            json.dump(data, f, indent=1, default=str)
-        os.replace(tmp, self.stats_path)
+        write_atomic(self.stats_path, json.dumps(data, indent=1, default=str))
 
     def refresh_stats(self) -> dict:
         return {name: list(sv.stats) for name, sv in self.views.items()}

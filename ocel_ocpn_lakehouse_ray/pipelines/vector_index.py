@@ -29,6 +29,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..state.manifest import write_atomic
 from .queries import _read_wide, bucketed_groups
 from .similarity import (
     IVF_KMEANS_ITERS,
@@ -101,11 +102,7 @@ def build_ivf_index(sf_dir: str, index_dir: str, *, nlist: int = 16,
         "rows": int(lists["rows"].sum()),
         "lists": lists.to_dict("records"),
     }
-    mpath = os.path.join(index_dir, "_INDEX.json")
-    tmp = mpath + f".tmp.{os.getpid()}"
-    with open(tmp, "w") as f:
-        json.dump(manifest, f)
-    os.replace(tmp, mpath)
+    write_atomic(os.path.join(index_dir, "_INDEX.json"), json.dumps(manifest))
     return manifest
 
 

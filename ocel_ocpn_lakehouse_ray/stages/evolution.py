@@ -15,7 +15,6 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..table import LakeTable, meta_to_schema, schema_to_meta
-from ..state import manifest as mf
 
 
 class SchemaEvolutionError(ValueError):
@@ -37,9 +36,7 @@ def evolve_schema(table: LakeTable, new_fields: list[pa.Field]) -> LakeTable:
     meta_to_schema(meta)
     config = dict(table.manifest.config)
     config["schema_evolved"] = True  # scan layer switches to read-then-project
-    new = mf.commit_version(
-        table.root,
-        base_version=table.version,
+    return table.commit(
         operation="evolve-schema",
         add=[],
         remove_ids=set(),
@@ -47,7 +44,6 @@ def evolve_schema(table: LakeTable, new_fields: list[pa.Field]) -> LakeTable:
         config=config,
         summary={"added_columns": [f.name for f in new_fields]},
     )
-    return LakeTable(table.root, new)
 
 
 def validate_additive(old: pa.Schema, new: pa.Schema) -> None:

@@ -79,7 +79,8 @@ def run_export(table, out_dir: str, *, job_id: str | None = None,
     frags = table.fragments
     if from_version is not None:
         old = {f.fragment_id
-               for f in mf.load_manifest(table.root, from_version).fragments}
+               for f in mf.load_manifest(table.root, from_version,
+                                         branch=table.branch).fragments}
         frags = [f for f in frags if f.fragment_id not in old]
     shards = plan_shards(frags, shard_bytes=shard_bytes)
     schema = table.schema
@@ -154,11 +155,8 @@ def run_export(table, out_dir: str, *, job_id: str | None = None,
         "total_rows": sum(r.rows for r in recs),
         "total_bytes": sum(r.bytes for r in recs),
     }
-    mpath = os.path.join(out_dir, "_MANIFEST.json")
-    tmp = mpath + f".tmp.{os.getpid()}"
-    with open(tmp, "w") as f:
-        json.dump(manifest, f, indent=1)
-    os.replace(tmp, mpath)
+    mf.write_atomic(os.path.join(out_dir, "_MANIFEST.json"),
+                    json.dumps(manifest, indent=1))
     with open(os.path.join(out_dir, "_SUCCESS"), "w") as f:
         f.write(job_id)
     return {

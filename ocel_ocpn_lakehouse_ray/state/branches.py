@@ -7,21 +7,17 @@ the public surface this mirrors; the reference itself only ever writes to
 main.  Tags (read-only refs) live in `state/manifest.py`; this module adds
 the writable kind.
 
-Design — branch = an independent manifest subchain:
-
-    {root}/_branches/{name}/v00000000.json   fork-point copy (v0)
-    {root}/_branches/{name}/v0000000N.json   branch commits
-    {root}/_branches/{name}/_latest          branch head pointer
-    {root}/_branches/{name}/.lock            per-branch commit flock
-
-Branch manifests are deliberately NOT in the main `manifests/` directory:
-main's crash repair (`_repair_orphan_latest`) fast-forwards `_latest` to the
-highest manifest file it can see, so a branch manifest numbered past main's
-head would get published by accident the next time a main commit raced.
-Keeping chains in separate directories makes that impossible by
-construction.  Data files are shared (`data/` is content-addressed), so a
-branch append writes fragments exactly like a main append — only the commit
-routing differs; GC reachability includes branch chains
+Design — a branch is one more manifest chain.  `state/manifest.py` owns
+every chain (layout, loader, head swap and the one commit protocol; pass
+``branch=name``); this module holds only the ref operations: name check,
+fork, mirror, delete, GC pinning and publish.  A branch chain lives in
+``_branches/<name>/`` and starts at v0, a copy of the main manifest it
+forked from.  Keeping branch manifests out of main's ``manifests/`` matters:
+a commit's roll-forward advances the head to the highest manifest in ITS
+chain's directory, so a branch manifest numbered past main's head can never
+be published on main by accident.  Data files are shared (`data/` is
+content-addressed), so a branch append writes fragments exactly like a main
+append — only the chain differs; GC reachability includes branch chains
 (`stages/gc.reachable_fragments`).
 
 Publishing applies the branch's NET change (relative to its fork point)
@@ -35,76 +31,27 @@ from __future__ import annotations
 
 import os
 import re
+import shutil
 import time
+import uuid
 
 from . import manifest as mf
 
-BRANCHES_DIR = "_branches"
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
 
-def _check_name(name: str) -> str:
+def check_name(name: str) -> str:
     if not _NAME_RE.match(name):
         raise ValueError(f"invalid branch name {name!r}")
     return name
 
 
-def branch_dir(root: str, name: str) -> str:
-    return os.path.join(root, BRANCHES_DIR, _check_name(name))
-
-
-def _bmanifest_path(root: str, name: str, version: int) -> str:
-    return os.path.join(branch_dir(root, name), f"v{version:08d}.json")
-
-
 def list_branches(root: str) -> list[str]:
-    d = os.path.join(root, BRANCHES_DIR)
+    d = os.path.join(root, mf.BRANCHES_DIR)
     if not os.path.isdir(d):
         return []
     return sorted(n for n in os.listdir(d)
                   if os.path.isdir(os.path.join(d, n)))
-
-
-def read_branch_head(root: str, name: str) -> int:
-    try:
-        with open(os.path.join(branch_dir(root, name), "_latest")) as f:
-            return int(f.read().strip())
-    except FileNotFoundError:
-        raise KeyError(f"unknown branch {name!r}; have {list_branches(root)}")
-
-
-def load_branch_manifest(root: str, name: str,
-                         version: int | None = None) -> mf.Manifest:
-    if version is None:
-        version = read_branch_head(root, name)
-    with open(_bmanifest_path(root, name, version)) as f:
-        return mf.Manifest.from_json(f.read())
-
-
-def _swap_branch_head(root: str, name: str, version: int) -> None:
-    """Monotone branch-head advance under the branch's flock (same contract
-    as manifest._swap_latest, scoped to this branch's chain)."""
-    import fcntl
-    import uuid
-
-    bdir = branch_dir(root, name)
-    with open(os.path.join(bdir, ".lock"), "a") as lk:
-        fcntl.flock(lk, fcntl.LOCK_EX)
-        try:
-            try:
-                with open(os.path.join(bdir, "_latest")) as f:
-                    if version <= int(f.read().strip()):
-                        return
-            except (FileNotFoundError, ValueError):
-                pass
-            tmp = os.path.join(bdir, f"._latest.tmp.{uuid.uuid4().hex}")
-            with open(tmp, "w") as f:
-                f.write(str(version))
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, os.path.join(bdir, "_latest"))
-        finally:
-            fcntl.flock(lk, fcntl.LOCK_UN)
 
 
 def create_branch(root: str, name: str, *, from_version: int | None = None,
@@ -112,14 +59,12 @@ def create_branch(root: str, name: str, *, from_version: int | None = None,
     """Fork a branch at a main-chain snapshot (default: current latest).
     The fork point is branch manifest v0 — a copy of the main manifest with
     the fork recorded in its summary."""
-    import uuid
-
     src = mf.load_manifest(root, from_version)
-    bdir = branch_dir(root, name)
+    bdir = mf._chain(root, name).dir
     if os.path.isdir(bdir):
         if if_exists == "error":
             raise FileExistsError(f"branch {name!r} already exists")
-        return load_branch_manifest(root, name)
+        return mf.load_manifest(root, branch=name)
     os.makedirs(bdir)
     fork = mf.Manifest(
         version=0,
@@ -136,69 +81,8 @@ def create_branch(root: str, name: str, *, from_version: int | None = None,
         summary={"fork_of_main_version": src.version, "branch": name,
                  "fork_uuid": uuid.uuid4().hex},
     )
-    with open(_bmanifest_path(root, name, 0), "x") as f:
-        f.write(fork.to_json())
-    _swap_branch_head(root, name, 0)
+    mf.publish_manifest(root, fork, branch=name)
     return fork
-
-
-def commit_to_branch(
-    root: str,
-    name: str,
-    *,
-    base_version: int,
-    operation: str,
-    add: list,
-    remove_ids: set,
-    schema: list,
-    config: dict,
-    summary: dict | None = None,
-    max_retries: int = 10,
-) -> mf.Manifest:
-    """commit_version against the branch chain: rebase onto the branch head
-    on conflict, validating removed fragments are still live there."""
-    attempt_base = base_version
-    for _ in range(max_retries):
-        current = load_branch_manifest(root, name)
-        if current.version != attempt_base:
-            live = current.fragment_ids()
-            if not set(remove_ids) <= live:
-                raise mf.CommitConflict(
-                    f"branch {name}: fragments {set(remove_ids) - live} were "
-                    f"removed by a concurrent branch commit "
-                    f"(base {attempt_base} -> {current.version})")
-            attempt_base = current.version
-        kept = [f for f in current.fragments if f.fragment_id not in remove_ids]
-        new = mf.Manifest(
-            version=current.version + 1,
-            parent=current.version,
-            created_at=time.time(),
-            operation=operation,
-            schema=schema,
-            config=config,
-            fragments=kept + list(add),
-            summary={**(summary or {}), "branch": name},
-        )
-        try:
-            with open(_bmanifest_path(root, name, new.version), "x") as f:
-                f.write(new.to_json())
-        except FileExistsError:
-            # lost a race on this branch: the winner's head swap is done or
-            # imminent; advance past it and rebase
-            _swap_branch_head(
-                root, name,
-                max(v for v in _branch_versions(root, name)))
-            continue
-        _swap_branch_head(root, name, new.version)
-        return new
-    raise mf.CommitConflict(
-        f"branch {name}: could not commit after {max_retries} attempts")
-
-
-def _branch_versions(root: str, name: str) -> list[int]:
-    bdir = branch_dir(root, name)
-    return sorted(int(n[1:-5]) for n in os.listdir(bdir)
-                  if n.startswith("v") and n.endswith(".json"))
 
 
 def write_branch_chain(root: str, name: str,
@@ -208,27 +92,21 @@ def write_branch_chain(root: str, name: str,
     mirrors a source branch as [fork copy, collapsed head] so its
     publish_branch computes the IDENTICAL net change as the source's.
     Versions must be contiguous from 0; the head pointer lands on the last."""
-    import shutil
-
     if not manifests or [m.version for m in manifests] != list(
             range(len(manifests))):
         raise ValueError("branch chain must be contiguous versions from 0")
-    bdir = branch_dir(root, name)
+    bdir = mf._chain(root, name).dir
     if os.path.isdir(bdir):
         shutil.rmtree(bdir)
     os.makedirs(bdir)
     for m in manifests:
-        with open(_bmanifest_path(root, name, m.version), "x") as f:
-            f.write(m.to_json())
-    _swap_branch_head(root, name, manifests[-1].version)
+        mf.publish_manifest(root, m, branch=name)
 
 
 def delete_branch(root: str, name: str) -> None:
     """Drop the branch chain.  Data files referenced only by the branch
     become unreachable and are collected by the normal GC sweep."""
-    import shutil
-
-    bdir = branch_dir(root, name)
+    bdir = mf._chain(root, name).dir
     if not os.path.isdir(bdir):
         raise KeyError(f"unknown branch {name!r}")
     shutil.rmtree(bdir)
@@ -239,8 +117,8 @@ def branch_reachable_fragments(root: str) -> set:
     GC exactly like retained main manifests."""
     live: set = set()
     for name in list_branches(root):
-        for v in _branch_versions(root, name):
-            live |= load_branch_manifest(root, name, v).fragment_ids()
+        for v in mf.list_manifest_versions(root, branch=name):
+            live |= mf.load_manifest(root, v, branch=name).fragment_ids()
     return live
 
 
@@ -249,8 +127,8 @@ def publish_branch(root: str, name: str, *, delete: bool = True) -> mf.Manifest:
     as ONE commit.  Main appends since the fork survive; a main rewrite of
     fragments the branch also removed raises CommitConflict (stale branch —
     re-fork and replay).  Returns the new main manifest."""
-    head = load_branch_manifest(root, name)
-    fork = load_branch_manifest(root, name, 0)
+    head = mf.load_manifest(root, branch=name)
+    fork = mf.load_manifest(root, 0, branch=name)
     head_ids = head.fragment_ids()
     fork_ids = fork.fragment_ids()
     added = [f for f in head.fragments if f.fragment_id not in fork_ids]

@@ -21,8 +21,8 @@ partitions.  The protocol, stated once for every job:
    re-creates the identical file names, so journal + naming give
    exactly-once output effects per partition.
 4. **Record**: after the outputs are durable the task writes
-   ``journal/<job_id>/part-<partition_id>.json`` via tmp-file + fsync +
-   atomic rename (no cross-worker append races; safe on any POSIX fs and
+   ``journal/<job_id>/part-<partition_id>.json`` via ``write_atomic``
+   (no cross-worker append races; safe on any POSIX fs and
    shardable across nodes on shared storage).
 5. **Collect** (``collect``): the driver builds the commit from the journal,
    raising if any planned partition has no record.
@@ -35,7 +35,7 @@ import json
 import os
 from dataclasses import dataclass, field, asdict
 
-from .manifest import JOURNAL_DIR, FragmentMeta
+from .manifest import JOURNAL_DIR, FragmentMeta, write_atomic
 
 
 @dataclass
@@ -93,15 +93,9 @@ def open_job(root: str, job_id: str, fp: str, make_meta=dict) -> dict:
 
 
 def _write_record(root: str, rec: PartitionRecord) -> None:
-    d = journal_dir(root, rec.job_id)
-    os.makedirs(d, exist_ok=True)
-    final = record_path(root, rec.job_id, rec.partition_id)
-    tmp = final + f".tmp.{os.getpid()}"
-    with open(tmp, "w") as f:
-        json.dump(asdict(rec), f)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, final)
+    os.makedirs(journal_dir(root, rec.job_id), exist_ok=True)
+    write_atomic(record_path(root, rec.job_id, rec.partition_id),
+                 json.dumps(asdict(rec)))
 
 
 def _load_record(root: str, job_id: str, partition_id: str):
@@ -178,10 +172,7 @@ def write_job_meta(root: str, job_id: str, meta: dict) -> None:
     run reuses the SAME partitioning instead of re-sampling a different one."""
     d = journal_dir(root, job_id)
     os.makedirs(d, exist_ok=True)
-    tmp = os.path.join(d, f".meta.tmp.{os.getpid()}")
-    with open(tmp, "w") as f:
-        json.dump(meta, f)
-    os.replace(tmp, os.path.join(d, "meta.json"))
+    write_atomic(os.path.join(d, "meta.json"), json.dumps(meta))
 
 
 def load_job_meta(root: str, job_id: str) -> dict | None:

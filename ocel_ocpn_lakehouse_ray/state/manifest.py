@@ -11,30 +11,46 @@ file-based Lance-style layout:
     table_root/
       data/frag-<contenthash>.parquet     immutable fragments
       manifests/v00000001.json            one manifest per committed version
-      _latest                             pointer file (atomic rename swap)
+      _latest                             main head pointer
+      ._latest.lock                       flock serializing main head swaps
+      _branches/<name>/v00000000.json     a branch's own chain (v0 = fork copy;
+      _branches/<name>/_latest              state/branches.py holds the ref
+      _branches/<name>/.lock                operations)
       journal/<job_id>/part-*.json        per-partition lineage (state/lineage.py)
 
-Commit protocol (snapshot isolation, SURVEY.md §4 "Atomic commit / isolation"):
-  1. writer creates ``manifests/v{n}.json`` with O_EXCL — optimistic concurrency,
-     a concurrent committer loses and retries on the new base;
-  2. writer atomically ``os.replace``s a temp file onto ``_latest``.
-Readers resolve ``_latest`` once at open and then only ever touch immutable
+Main and every branch are the same kind of chain; ``_chain`` is the one place
+that knows where a chain lives, and every chain function takes ``branch``
+(None = main).  Commit protocol (snapshot isolation, SURVEY.md §4 "Atomic
+commit / isolation"), one for every chain (``commit_version``):
+  1. rebase onto the chain's head, checking every removed fragment is still
+     live there (``CommitConflict`` otherwise);
+  2. create ``v{n}.json`` exclusively (``write_atomic(..., exclusive=True)``)
+     — a concurrent committer loses and retries on the new base;
+  3. monotonically swap the head pointer under the chain's flock; a loser
+     first rolls the head forward to the highest manifest, which also
+     finishes a publish that crashed between steps 2 and 3.
+Readers resolve the head once at open and then only ever touch immutable
 files, so a reader pinned to version V sees byte-identical data while and after
 V+1 commits (north_star snapshot-isolation invariant).
 """
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import json
 import os
 import time
+import uuid
 from dataclasses import dataclass, field, asdict
+from typing import NamedTuple
 
 FORMAT_VERSION = 1
 MANIFEST_DIR = "manifests"
 DATA_DIR = "data"
 JOURNAL_DIR = "journal"
 LATEST_FILE = "_latest"
+BRANCHES_DIR = "_branches"
 
 
 @dataclass
@@ -107,31 +123,74 @@ class Manifest:
         return cls(**d)
 
 
-def manifest_path(root: str, version: int) -> str:
-    return os.path.join(root, MANIFEST_DIR, f"v{version:08d}.json")
+class _Chain(NamedTuple):
+    dir: str       # v{n:08d}.json manifests
+    head: str      # pointer file holding the head version
+    lock: str      # flock file serializing head swaps
 
 
-def read_latest_version(root: str) -> int:
-    with open(os.path.join(root, LATEST_FILE)) as f:
+def _chain(root: str, branch: str | None) -> _Chain:
+    """Where a chain lives: main, or the named branch's subchain."""
+    if branch is None:
+        return _Chain(os.path.join(root, MANIFEST_DIR),
+                      os.path.join(root, LATEST_FILE),
+                      os.path.join(root, f".{LATEST_FILE}.lock"))
+    from .branches import check_name  # branches imports this module
+
+    d = os.path.join(root, BRANCHES_DIR, check_name(branch))
+    return _Chain(d, os.path.join(d, LATEST_FILE), os.path.join(d, ".lock"))
+
+
+def write_atomic(path: str, text: str, *, exclusive: bool = False) -> None:
+    """Publish ``text`` at ``path`` whole or not at all: write a uniquely
+    named temp file, fsync it, then rename it into place.  ``exclusive``
+    links the temp file instead, so a second create raises FileExistsError
+    (the O_EXCL manifest create)."""
+    d, name = os.path.split(path)
+    tmp = os.path.join(d, f".{name}.tmp.{uuid.uuid4().hex}")
+    try:
+        with open(tmp, "w") as f:
+            f.write(text)
+            f.flush()
+            os.fsync(f.fileno())
+        (os.link if exclusive else os.replace)(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
+def manifest_path(root: str, version: int, *, branch: str | None = None) -> str:
+    return os.path.join(_chain(root, branch).dir, f"v{version:08d}.json")
+
+
+def _read_head(path: str) -> int:
+    with open(path) as f:
         return int(f.read().strip())
 
 
-def load_manifest(root: str, version: int | None = None) -> Manifest:
+def read_latest_version(root: str, *, branch: str | None = None) -> int:
+    try:
+        return _read_head(_chain(root, branch).head)
+    except FileNotFoundError:
+        if branch is None:
+            raise
+        raise KeyError(f"unknown branch {branch!r}") from None
+
+
+def load_manifest(root: str, version: int | None = None, *,
+                  branch: str | None = None) -> Manifest:
     if version is None:
-        version = read_latest_version(root)
-    with open(manifest_path(root, version)) as f:
+        version = read_latest_version(root, branch=branch)
+    with open(manifest_path(root, version, branch=branch)) as f:
         return Manifest.from_json(f.read())
 
 
-def list_manifest_versions(root: str) -> list[int]:
-    mdir = os.path.join(root, MANIFEST_DIR)
+def list_manifest_versions(root: str, *, branch: str | None = None) -> list[int]:
+    mdir = _chain(root, branch).dir
     if not os.path.isdir(mdir):
         return []
-    out = []
-    for name in os.listdir(mdir):
-        if name.startswith("v") and name.endswith(".json"):
-            out.append(int(name[1:-5]))
-    return sorted(out)
+    return sorted(int(name[1:-5]) for name in os.listdir(mdir)
+                  if name.startswith("v") and name.endswith(".json"))
 
 
 def init_table_dirs(root: str) -> None:
@@ -140,40 +199,32 @@ def init_table_dirs(root: str) -> None:
     os.makedirs(os.path.join(root, JOURNAL_DIR), exist_ok=True)
 
 
-def _swap_latest(root: str, version: int) -> None:
-    """MONOTONICALLY advance _latest to ``version`` (no-op if already
-    ahead): a crashed-commit repairer racing live committers must never move
-    the pointer backwards.  Serialized by an flock on a sidecar lock file
-    (single-node; a shared object store would use a CAS on the pointer
-    object instead).  The tmp name is unique per ATTEMPT (uuid) — threads
-    share a pid and would collide on pid-based names."""
-    import fcntl
-    import uuid
-
-    with open(os.path.join(root, f".{LATEST_FILE}.lock"), "a") as lk:
+def _swap_head(root: str, version: int, branch: str | None) -> None:
+    """MONOTONICALLY advance the chain's head to ``version`` (no-op if
+    already ahead): a crashed-commit repairer racing live committers must
+    never move the pointer backwards.  Serialized by an flock on the
+    chain's lock file (single-node; a shared object store would use a CAS
+    on the pointer object instead)."""
+    chain = _chain(root, branch)
+    with open(chain.lock, "a") as lk:
         fcntl.flock(lk, fcntl.LOCK_EX)
         try:
             try:
-                if version <= read_latest_version(root):
+                if version <= _read_head(chain.head):
                     return
             except (FileNotFoundError, ValueError):
                 pass  # no pointer yet (initial create)
-            tmp = os.path.join(root, f".{LATEST_FILE}.tmp.{uuid.uuid4().hex}")
-            with open(tmp, "w") as f:
-                f.write(str(version))
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, os.path.join(root, LATEST_FILE))
+            write_atomic(chain.head, str(version))
         finally:
             fcntl.flock(lk, fcntl.LOCK_UN)
 
 
-def publish_manifest(root: str, manifest: Manifest) -> None:
-    """Atomic commit: exclusive manifest create + atomic _latest swap."""
-    path = manifest_path(root, manifest.version)
-    with open(path, "x") as f:          # O_EXCL → optimistic-concurrency guard
-        f.write(manifest.to_json())
-    _swap_latest(root, manifest.version)
+def publish_manifest(root: str, manifest: Manifest, *,
+                     branch: str | None = None) -> None:
+    """Atomic commit: exclusive manifest create + monotone head swap."""
+    write_atomic(manifest_path(root, manifest.version, branch=branch),
+                 manifest.to_json(), exclusive=True)
+    _swap_head(root, manifest.version, branch)
 
 
 class CommitConflict(RuntimeError):
@@ -190,22 +241,28 @@ def commit_version(
     schema: list,
     config: dict,
     summary: dict | None = None,
+    branch: str | None = None,
     max_retries: int = 10,
 ) -> Manifest:
-    """Append a new manifest version: carry over live fragments minus
-    ``remove_ids`` plus ``add``.  Retries on concurrent-commit conflict by
-    rebasing onto the new latest, validating that every removed fragment is
-    still live (otherwise the maintenance job operated on stale data and must
-    abort — same failure Iceberg raises as a validation exception)."""
+    """Append a new manifest version to main or to ``branch``'s chain:
+    carry over live fragments minus ``remove_ids`` plus ``add``.  Retries
+    on concurrent-commit conflict by rebasing onto the new head, validating
+    that every removed fragment is still live (otherwise the maintenance job
+    operated on stale data and must abort — same failure Iceberg raises as a
+    validation exception).  Branch commits stamp ``summary["branch"]``."""
+    summary = dict(summary or {})
+    if branch is not None:
+        summary["branch"] = branch
     attempt_base = base_version
     for _ in range(max_retries):
-        current = load_manifest(root, read_latest_version(root))
+        current = load_manifest(root, branch=branch)
         if current.version != attempt_base:
             live = current.fragment_ids()
             if not set(remove_ids) <= live:
                 raise CommitConflict(
                     f"fragments {set(remove_ids) - live} were removed by a "
-                    f"concurrent commit (base {attempt_base} → {current.version})"
+                    f"concurrent commit on {branch or 'main'} "
+                    f"(base {attempt_base} → {current.version})"
                 )
             attempt_base = current.version
         kept = [f for f in current.fragments if f.fragment_id not in remove_ids]
@@ -217,42 +274,29 @@ def commit_version(
             schema=schema,
             config=config,
             fragments=kept + list(add),
-            summary=summary or {},
+            summary=summary,
         )
         try:
-            publish_manifest(root, new)
+            publish_manifest(root, new, branch=branch)
             return new
         except FileExistsError:
-            # Either we lost a live race (the winner will advance _latest), or
-            # a previous writer crashed AFTER creating v{n}.json but BEFORE
-            # swapping _latest — that orphan would wedge every future commit at
-            # the same version number.  The orphan manifest was durably
-            # published, so repair by rolling _latest forward to it; the next
-            # loop iteration rebases past it.
-            _repair_orphan_latest(root)
-            continue
+            # Either we lost a live race (the winner will advance the head),
+            # or a previous writer crashed AFTER creating v{n}.json but
+            # BEFORE swapping the head — that orphan would wedge every future
+            # commit at the same version number.  The orphan manifest was
+            # durably published, so roll the head forward to the highest
+            # manifest (a no-op behind a live winner); the next iteration
+            # rebases past it.
+            _swap_head(root, list_manifest_versions(root, branch=branch)[-1],
+                       branch)
     raise CommitConflict(f"could not commit after {max_retries} attempts")
-
-
-def _repair_orphan_latest(root: str) -> None:
-    """If manifest files exist beyond _latest (a committer crashed between the
-    exclusive manifest create and the pointer swap), finish the crashed
-    publish by advancing _latest to the highest existing manifest version."""
-    versions = list_manifest_versions(root)
-    if not versions:
-        return
-    latest = read_latest_version(root)
-    top = versions[-1]
-    if top <= latest:
-        return  # normal race: the winner's swap is done or imminent
-    _swap_latest(root, top)
 
 
 # ------------------------------------------------------------------- tags
 # Named snapshot refs (Iceberg tags): a tag pins a version under a stable
 # name so readers can open `LakeTable.load(root, tag="prod")` regardless of
 # how many maintenance commits have advanced _latest.  Stored as one JSON
-# map serialized by the same flock that guards the _latest swap; a tagged
+# map serialized by its own flock (.tags.lock); a tagged
 # version's manifest is protected from snapshot expiry (stages/gc.py checks
 # tagged_versions()).
 
@@ -272,21 +316,11 @@ def read_tags(root: str) -> dict[str, int]:
 
 
 def _write_tags_locked(root: str, mutate) -> dict[str, int]:
-    import fcntl
-    import uuid
-
-    lock = os.path.join(root, ".tags.lock")
-    with open(lock, "w") as lk:
+    with open(os.path.join(root, ".tags.lock"), "w") as lk:
         fcntl.flock(lk, fcntl.LOCK_EX)
         try:
-            tags = read_tags(root)
-            tags = mutate(tags)
-            tmp = _tags_path(root) + f".tmp.{os.getpid()}.{uuid.uuid4().hex[:6]}"
-            with open(tmp, "w") as f:
-                json.dump(tags, f)
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, _tags_path(root))
+            tags = mutate(read_tags(root))
+            write_atomic(_tags_path(root), json.dumps(tags))
             return tags
         finally:
             fcntl.flock(lk, fcntl.LOCK_UN)

@@ -72,8 +72,8 @@ class LakeTable:
                  branch: str | None = None):
         self.root = root
         self.manifest = manifest
-        #: when set, commit()s route to this branch's manifest subchain
-        #: (state/branches.py) instead of main — main's _latest never moves
+        #: the chain this handle reads and commits: None = main, else the
+        #: named branch's chain — main's _latest never moves for it
         self.branch = branch
 
     # ------------------------------------------------------------ lifecycle
@@ -122,17 +122,13 @@ class LakeTable:
                 raise FileNotFoundError(
                     f"no surviving snapshot at or before as_of={as_of}")
             version = best
-        if branch is not None:
-            from .state import branches as br
-
-            return cls(root, br.load_branch_manifest(root, branch),
-                       branch=branch)
         if tag is not None:
             tags = mf.read_tags(root)
             if tag not in tags:
                 raise KeyError(f"unknown tag {tag!r}; have {sorted(tags)}")
             version = tags[tag]
-        return cls(root, mf.load_manifest(root, version))
+        return cls(root, mf.load_manifest(root, version, branch=branch),
+                   branch=branch)
 
     def tag(self, name: str) -> dict[str, int]:
         """Name THIS pinned version (Iceberg tag ref)."""
@@ -165,12 +161,7 @@ class LakeTable:
         return br.list_branches(self.root)
 
     def refresh(self) -> "LakeTable":
-        if self.branch is not None:
-            from .state import branches as br
-
-            self.manifest = br.load_branch_manifest(self.root, self.branch)
-        else:
-            self.manifest = mf.load_manifest(self.root, None)
+        self.manifest = mf.load_manifest(self.root, branch=self.branch)
         return self
 
     # ------------------------------------------------------------ properties
@@ -281,20 +272,6 @@ class LakeTable:
         """Commit a fragment-set change.  ``schema``/``config`` default to
         this table's current values; replication's mirror mode overrides
         them so source schema evolution propagates to followers."""
-        if self.branch is not None:
-            from .state import branches as br
-
-            new = br.commit_to_branch(
-                self.root, self.branch,
-                base_version=self.version,
-                operation=operation,
-                add=add,
-                remove_ids=remove_ids,
-                schema=schema if schema is not None else self.manifest.schema,
-                config=config if config is not None else self.manifest.config,
-                summary=summary,
-            )
-            return LakeTable(self.root, new, branch=self.branch)
         new = mf.commit_version(
             self.root,
             base_version=self.version,
@@ -304,8 +281,9 @@ class LakeTable:
             schema=schema if schema is not None else self.manifest.schema,
             config=config if config is not None else self.manifest.config,
             summary=summary,
+            branch=self.branch,
         )
-        return LakeTable(self.root, new)
+        return LakeTable(self.root, new, branch=self.branch)
 
     def rollback(self, version: int) -> "LakeTable":
         """Restore an earlier snapshot's fragment list as a NEW commit —
@@ -316,7 +294,7 @@ class LakeTable:
         conflict check.  Fails with FileNotFoundError if the target
         manifest was expired or any of its data files was GC'd."""
         try:
-            target = mf.load_manifest(self.root, version)
+            target = mf.load_manifest(self.root, version, branch=self.branch)
         except FileNotFoundError as e:
             raise FileNotFoundError(
                 f"cannot rollback to v{version}: the manifest was expired "
@@ -342,9 +320,9 @@ class LakeTable:
         incremental-refresh consumer needs to decide whether the range is
         append-only (every Iceberg-style incremental scan has the same
         caveat: a rewrite re-adds surviving rows as new fragments)."""
-        a = mf.load_manifest(self.root, from_version)
+        a = mf.load_manifest(self.root, from_version, branch=self.branch)
         b = (self.manifest if to_version is None
-             else mf.load_manifest(self.root, to_version))
+             else mf.load_manifest(self.root, to_version, branch=self.branch))
         a_ids = {f.fragment_id for f in a.fragments}
         b_ids = {f.fragment_id for f in b.fragments}
         added = [f for f in b.fragments if f.fragment_id not in a_ids]
@@ -380,9 +358,10 @@ class LakeTable:
         matters (the Iceberg incremental-scan contract)."""
         import ray.data
 
-        b = self if to_version is None else LakeTable.load(self.root, to_version)
-        a_ids = {f.fragment_id
-                 for f in mf.load_manifest(self.root, from_version).fragments}
+        b = self if to_version is None else LakeTable(
+            self.root, mf.load_manifest(self.root, to_version, branch=self.branch))
+        a_ids = {f.fragment_id for f in mf.load_manifest(
+            self.root, from_version, branch=self.branch).fragments}
         added = [f for f in b.fragments if f.fragment_id not in a_ids]
         schema = b.schema
         if not added:
@@ -425,7 +404,8 @@ class LakeTable:
 
     # ------------------------------------------------------------ history
     def history(self) -> list[mf.Manifest]:
-        return [mf.load_manifest(self.root, v) for v in mf.list_manifest_versions(self.root)]
+        return [mf.load_manifest(self.root, v, branch=self.branch)
+                for v in mf.list_manifest_versions(self.root, branch=self.branch)]
 
     def meta_dataset(self, kind: str):
         """Iceberg-style metadata tables (`table$files` / `$snapshots` /
@@ -469,7 +449,7 @@ class LakeTable:
             names = sorted(tags) + br.list_branches(self.root)
             kinds = ["tag"] * len(tags) + ["branch"] * (len(names) - len(tags))
             heads = ([tags[n] for n in sorted(tags)]
-                     + [br.read_branch_head(self.root, n)
+                     + [mf.read_latest_version(self.root, branch=n)
                         for n in names[len(tags):]])
             tbl = pa.table({
                 "name": pa.array(names, pa.string()),

@@ -132,9 +132,12 @@ def test_merge_clears_partial_staged_source(tmp_path):
 
 # -------------------------------------------------- 4. orphan manifest repair
 
-def test_commit_recovers_from_orphaned_manifest(tmp_path):
+@pytest.mark.parametrize("branch", [None, "audit"])
+def test_commit_recovers_from_orphaned_manifest(tmp_path, branch):
     root = str(tmp_path / "t")
     t = LakeTable.create(root, IMAGE_SCHEMA, TableConfig(target_fragment_bytes=1 << 20))
+    if branch:
+        t = t.create_branch(branch)
     t = t.append_arrow(gen_batch(np.arange(50), SEED), name_parts=("seed", "0"))
     v = t.version
     # simulate a committer that crashed after creating v+1 but before the swap
@@ -143,12 +146,12 @@ def test_commit_recovers_from_orphaned_manifest(tmp_path):
         schema=t.manifest.schema, config=t.manifest.config,
         fragments=t.manifest.fragments, summary={"orphan": True},
     )
-    with open(mf.manifest_path(root, v + 1), "x") as f:
+    with open(mf.manifest_path(root, v + 1, branch=branch), "x") as f:
         f.write(orphan.to_json())
-    assert mf.read_latest_version(root) == v  # table is wedged pre-fix
+    assert mf.read_latest_version(root, branch=branch) == v  # wedged pre-fix
     t2 = t.append_arrow(gen_batch(np.arange(50, 60), SEED), name_parts=("seed", "1"))
     assert t2.version == v + 2  # rebased past the orphan instead of aborting
-    assert mf.read_latest_version(root) == v + 2
+    assert mf.read_latest_version(root, branch=branch) == v + 2
     assert t2.manifest.total_rows == 60
 
 
