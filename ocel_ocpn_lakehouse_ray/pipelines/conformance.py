@@ -68,8 +68,8 @@ def q_trace_variants(sf_dir: str):
 
     pat_ds = bucketed_groups(ds, "user_id", variant)
     # partials bounded by distinct patterns × buckets → budget-guarded
-    # driver fold (falls back to the distributed groupby past the budget —
-    # trace-variant cardinality CAN explode on pathological logs)
+    # driver fold (bucketed past the budget — trace-variant cardinality
+    # CAN explode on pathological logs)
     out = fold_partials(pat_ds, ["pattern"], ["n_traces"])
     return out if out is not None else pa.schema(
         [("pattern", pa.string()), ("n_traces", pa.int64())]).empty_table()
@@ -94,9 +94,8 @@ def q_conformance(sf_dir: str):
     # event-type² (tiny at any corpus scale), so instead of an AllToAll
     # groupby we count per block and fold the <= |types|²-row partials on
     # the driver — one exchange fewer (measured 2.3 s -> 1.7 s query total).
-    # fold_partials is budget-guarded (distributed groupby past
-    # FOLD_BUDGET partial rows), so the shape is scale-proof by
-    # construction, not by assumption.
+    # fold_partials is budget-guarded (bucketed past FOLD_BUDGET partial
+    # rows), so the shape is scale-proof by construction, not by assumption.
     def dfg_part(b: pa.Table) -> pa.Table:
         df = pd.DataFrame({"src": b["src"].to_pylist(), "dst": b["dst"].to_pylist()})
         out = df.groupby(["src", "dst"], sort=False).size().reset_index(name="c")
@@ -151,7 +150,7 @@ def q_conformance(sf_dir: str):
         return pa.Table.from_pandas(out, preserve_index=False)
 
     # per-(user, block) partials are bounded by users × blocks-per-user —
-    # budget-guarded driver fold (distributed groupby fallback past it)
+    # budget-guarded driver fold (bucketed fallback past it)
     b = fold_partials(te.map_batches(score_partial, batch_format="pyarrow"),
                       ["user_id"], ["n_edges", "n_hit"])
     if b is None:

@@ -15,7 +15,7 @@ Scale shape (no full materialization of text anywhere):
   corpus-sized keep-set on the driver.
 - The only driver-side state is the DROP sets (exact-dup losers and
   near-dup losers) — bounded by the duplicate count, not the corpus, and
-  guarded by ``max_driver_drops`` (past it, callers shard the drop set via
+  guarded by MAX_DRIVER_DROPS (past it, callers shard the drop set via
   the same co-partitioned join the semi/anti queries use).
 - Three column-pruned passes over the text: (A) metadata + fingerprints,
   (B) LSH band/verify over survivors only, (C) filtered export — the
@@ -24,10 +24,16 @@ Scale shape (no full materialization of text anywhere):
 
 from __future__ import annotations
 
+import glob
+import json
+import os
+import shutil
+import uuid
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 from ..functions.text import (
     guess_lang,
@@ -38,11 +44,15 @@ from ..functions.text import (
     quality_metrics,
     word_shingle_sets,
 )
+from ..state import lineage
 from ..state.manifest import write_atomic
 from .dedup import BANDS, JACCARD_THRESHOLD, NUM_PERM
 from .queries import _read_wide, bucketed_groups
 
 DEFAULTS = dict(min_tokens=5, max_stop_ratio=0.9, langs=("en",))
+# Largest exact- or near-dup drop set the driver holds; past it the run
+# raises rather than grow driver memory with the duplicate count.
+MAX_DRIVER_DROPS = 10_000_000
 
 
 def _quality_mask(texts: list[str], *, min_tokens: int, max_stop_ratio: float,
@@ -57,17 +67,11 @@ def _quality_mask(texts: list[str], *, min_tokens: int, max_stop_ratio: float,
 
 
 def _drops_path(out_dir: str, stage: str) -> str:
-    import os
-
     return os.path.join(out_dir, "_curation", f"{stage}_drops.parquet")
 
 
 def _load_drops(out_dir: str, stage: str):
     """Journaled drop manifest for a stage, or None if not yet computed."""
-    import os
-
-    import pyarrow.parquet as pq
-
     path = _drops_path(out_dir, stage)
     if not os.path.exists(path):
         return None
@@ -78,13 +82,7 @@ def _journal_drops(out_dir: str, stage: str, drops: set) -> None:
     """Atomic (tmp+rename) per-stage drop manifest — the curation journal.
     A resumed run loads it instead of recomputing the stage, so an
     interrupted curation finishes stage-exactly (VERDICT r4 #7)."""
-    import os
-    import uuid
-
     path = _drops_path(out_dir, stage)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    import pyarrow.parquet as pq
-
     tmp = path + f".tmp.{uuid.uuid4().hex[:8]}"
     pq.write_table(
         pa.table({"doc_id": pa.array(sorted(drops), pa.int64())}), tmp)
@@ -96,7 +94,6 @@ def curate_corpus(sf_dir: str, out_dir: str, *,
                   max_stop_ratio: float = DEFAULTS["max_stop_ratio"],
                   langs: tuple = DEFAULTS["langs"],
                   jaccard_threshold: float = JACCARD_THRESHOLD,
-                  max_driver_drops: int = 10_000_000,
                   failpoint: str | None = None) -> dict:
     """Run the curation flow; returns the per-stage report.  Output parquet
     shards land in ``out_dir``.
@@ -105,27 +102,40 @@ def curate_corpus(sf_dir: str, out_dir: str, *,
     ``out_dir/_curation/<stage>_drops.parquet`` (atomic tmp+rename) the
     moment it completes, and a rerun loads journaled stages instead of
     recomputing them — an interruption mid-near-dedup resumes with the
-    exact-dedup result it already had.  The export is guarded by a
-    ``_SUCCESS`` marker: a crashed export clears its partial shards and
-    rewrites.  ``failpoint`` ('exact' | 'near') crashes just after that
-    stage journals, for resume tests."""
+    exact-dedup result it already had.  The journal is stamped with a
+    fingerprint of ``sf_dir`` and the filter parameters; a run with other
+    ones clears ``_curation/`` and the shards and starts fresh.  The export
+    is guarded by a ``_SUCCESS`` marker: a crashed export clears its partial
+    shards and rewrites.  ``failpoint`` ('exact' | 'near') crashes just
+    after that stage journals, for resume tests."""
     import ray
 
     qkw = dict(min_tokens=min_tokens, max_stop_ratio=max_stop_ratio,
                langs=tuple(langs))
+    jdir = os.path.join(out_dir, "_curation")
+    fp_path = os.path.join(jdir, "fingerprint")
+    fp = lineage.fingerprint(sf_dir, qkw, jaccard_threshold)
+    try:
+        with open(fp_path) as f:
+            stale = f.read() != fp
+    except FileNotFoundError:
+        stale = True
+    if stale:  # journal and shards were written under other parameters
+        shutil.rmtree(jdir, ignore_errors=True)
+        for shard in glob.glob(os.path.join(out_dir, "*.parquet")):
+            os.remove(shard)
+        os.makedirs(jdir)
+        write_atomic(fp_path, fp)
 
     # ---- pass A: per-doc metadata over quality survivors ------------------
-    import json as _json
-    import os as _os
-
     docs = _read_wide(sf_dir, "documents", columns=["doc_id", "text"])
-    counts_path = _os.path.join(out_dir, "_curation", "counts.json")
+    counts_path = os.path.join(jdir, "counts.json")
     journaled_exact = _load_drops(out_dir, "exact")
-    if journaled_exact is not None and _os.path.exists(counts_path):
+    if journaled_exact is not None and os.path.exists(counts_path):
         # resume past pass A entirely: its only consumers are the counts
         # and the exact-dedup stage, both journaled
         with open(counts_path) as f:
-            c = _json.load(f)
+            c = json.load(f)
         n_input, n_quality = c["n_input"], c["n_quality"]
         md = None
     else:
@@ -143,8 +153,7 @@ def curate_corpus(sf_dir: str, out_dir: str, *,
 
         md = docs.map_batches(meta_rows, batch_format="pyarrow").materialize()
         n_quality = md.count()
-        _os.makedirs(_os.path.dirname(counts_path), exist_ok=True)
-        write_atomic(counts_path, _json.dumps(
+        write_atomic(counts_path, json.dumps(
             {"n_input": int(n_input), "n_quality": int(n_quality)}))
 
     # ---- exact dedup: losers of each fingerprint group --------------------
@@ -166,9 +175,9 @@ def curate_corpus(sf_dir: str, out_dir: str, *,
         for b in bucketed_groups(md, "fp", losers).iter_batches(
                 batch_format="pyarrow"):
             exact_drops.update(b["doc_id"].to_pylist())
-            if len(exact_drops) > max_driver_drops:
+            if len(exact_drops) > MAX_DRIVER_DROPS:
                 raise ValueError(
-                    "exact-dup drop set exceeds max_driver_drops; "
+                    "exact-dup drop set exceeds MAX_DRIVER_DROPS; "
                     "shard the drop set (copartitioned_semi_join)")
         _journal_drops(out_dir, "exact", exact_drops)
     if failpoint == "exact":
@@ -225,8 +234,8 @@ def curate_corpus(sf_dir: str, out_dir: str, *,
                 docs.map_batches(band_rows, batch_format="pyarrow"),
                 "band", bucket_losers).iter_batches(batch_format="pyarrow"):
             near_drops.update(b["doc_id"].to_pylist())
-            if len(near_drops) > max_driver_drops:
-                raise ValueError("near-dup drop set exceeds max_driver_drops")
+            if len(near_drops) > MAX_DRIVER_DROPS:
+                raise ValueError("near-dup drop set exceeds MAX_DRIVER_DROPS")
         _journal_drops(out_dir, "near", near_drops)
     if failpoint == "near":
         raise RuntimeError("failpoint: crash after near-dedup journal")
@@ -243,12 +252,7 @@ def curate_corpus(sf_dir: str, out_dir: str, *,
                        _r.get(all_drops_ref))
         return b.filter(pa.array(ok))
 
-    import glob
-    import os
-
-    import pyarrow.parquet as pq
-
-    marker = os.path.join(out_dir, "_curation", "_SUCCESS")
+    marker = os.path.join(jdir, "_SUCCESS")
     if not os.path.exists(marker):
         # a crashed export leaves partial shards without the marker: clear
         # them so the rerun's shard set (and glob count) is exact
@@ -256,7 +260,6 @@ def curate_corpus(sf_dir: str, out_dir: str, *,
             os.remove(stale)
         out_ds = docs.map_batches(final_filter, batch_format="pyarrow")
         out_ds.write_parquet(out_dir)
-        os.makedirs(os.path.dirname(marker), exist_ok=True)
         with open(marker, "w") as f:
             f.write("ok")
 

@@ -75,8 +75,7 @@ def q_executive_kpis(sf_dir: str) -> pd.DataFrame:
     from .queries import fold_partials
 
     # budget-guarded driver fold of the bounded partials (types × hours
-    # plus block-unique user markers) — same dedup/sum semantics as the
-    # distributed groupby it replaces, which remains the fallback
+    # plus block-unique user markers), bucketed past the budget
     folded = fold_partials(
         _read(sf_dir, "events", columns=["event_type", "ts", "user_id"])
         .map_batches(partial, batch_format="pyarrow"),

@@ -30,12 +30,12 @@ from ..functions.text import (
     simhash64,
     word_shingle_sets,
 )
-from . import queries
-from .queries import _read_wide, bucketed_groups
+from .queries import _read_wide, bounded_fold, bucketed_groups
 
 NUM_PERM = 64
 BANDS = 16
 JACCARD_THRESHOLD = 0.4
+PAIR_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64())])
 
 
 def q_simhash(sf_dir: str):
@@ -86,29 +86,10 @@ def q_minhash_lsh_pairs(sf_dir: str):
     pairs = bucketed_groups(
         ds.map_batches(band_rows, batch_format="pyarrow"), "band", bucket_pairs
     )
-    return distinct_pairs_bounded(pairs)
-
-
-def distinct_pairs_bounded(pairs):
-    """Distinct (a, b) candidate pairs: pairs are bounded by the near-dup
-    DENSITY, not the corpus, so dedup them on the driver under a budget —
-    saving a second bucket shuffle — and fall back to the co-located
-    distributed dedup past it (identical results; pathological
-    all-duplicate corpora stay distributed)."""
-    frames, rows = [], 0
-    for b in pairs.iter_batches(batch_format="pyarrow"):
-        frames.append(b.to_pandas())
-        rows += b.num_rows
-        if rows > queries.FOLD_BUDGET:
-            break
-    if rows > queries.FOLD_BUDGET:
-        # co-locate by hash(a) — identical pairs always share a bucket
-        return bucketed_groups(pairs, "a",
-                               lambda g: g.drop_duplicates(["a", "b"]))
-    if not frames:
-        return pd.DataFrame({"a": pd.Series(dtype=np.int64),
-                             "b": pd.Series(dtype=np.int64)})
-    return pd.concat(frames).drop_duplicates(["a", "b"]).reset_index(drop=True)
+    # a pair can share several band keys → distinct, driver-folded under the
+    # budget (pairs are bounded by near-dup DENSITY, not corpus size)
+    out = bounded_fold(pairs, ["a", "b"], lambda g: g.drop_duplicates(["a", "b"]))
+    return out if out is not None else PAIR_SCHEMA.empty_table()
 
 
 def q_ngram_jaccard(sf_dir: str):

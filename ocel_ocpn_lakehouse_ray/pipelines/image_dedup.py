@@ -33,16 +33,13 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
 
 
 def phash_near_dup_pairs(ds, *, bands: int = BANDS,
-                         threshold: int = HAMMING_THRESHOLD,
-                         max_driver_edges: int | None = None):
+                         threshold: int = HAMMING_THRESHOLD):
     """ds: Dataset with (image_id, phash) → Dataset of near-dup CLUSTER rows
     (representative, member, hamming) — members within hamming <= threshold
     of some cluster row, transitively closed.  Closure runs as a driver
-    union-find while the distinct-phash edge set fits ``max_driver_edges``;
+    union-find while the distinct-phash edge set fits MAX_DRIVER_EDGES;
     past that it degrades to distributed label propagation + a shuffle join
     (identical output, no driver edge set)."""
-    if max_driver_edges is None:
-        max_driver_edges = MAX_DRIVER_EDGES
     shift_bits = 64 // bands
 
     def band_rows(b: pa.Table) -> pa.Table:
@@ -90,7 +87,7 @@ def phash_near_dup_pairs(ds, *, bands: int = BANDS,
         ds.map_batches(band_rows, batch_format="pyarrow"), "band", bucket_edges
     ).materialize()  # in-cluster; consumed once by whichever closure path runs
 
-    if edge_ds.count() <= max_driver_edges:
+    if edge_ds.count() <= MAX_DRIVER_EDGES:
         # Union-find over the (tiny) distinct-phash edge set on the driver:
         # edges are pairs of DISTINCT phash values within the hamming
         # threshold — far smaller than the row count and independent of

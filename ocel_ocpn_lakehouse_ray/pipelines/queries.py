@@ -26,8 +26,8 @@ from ..functions.text import guess_lang, md5_fingerprint, quality_metrics
 
 # Build sides up to this many on-disk (compressed) bytes are broadcast.
 BROADCAST_BYTES = 64 << 20
-# Partial-aggregate rows a driver-side fold may hold before it falls back to
-# the distributed groupby (groups × blocks would have to reach this).
+# Partial rows bounded_fold folds on the driver; past it the same kernel runs
+# per hash bucket (groups × blocks would have to reach this).
 FOLD_BUDGET = 2_000_000
 
 # ------------------------------------------------------------------ helpers
@@ -146,19 +146,18 @@ def bucketed_groups(ds, key_col: str, fn, *, buckets: int = 32):
     then run a VECTORIZED pandas groupby inside each bucket.  Orders of
     magnitude fewer task/pandas invocations than groupby(key).map_groups when
     the key cardinality is high (SURVEY.md §4 skew row: same co-location
-    guarantee — every row of a key lands in exactly one bucket)."""
+    guarantee — every row of a key lands in exactly one bucket).  Null keys
+    hash as 0 / "" and so share one fixed bucket."""
     import ray.data  # noqa: F401
 
     def assign(b: pa.Table) -> pa.Table:
-        from ..functions.hashing import splitmix64
+        from ..functions.hashing import hash_strings, splitmix64
 
         col = b[key_col]
         if pa.types.is_integer(col.type):
-            h = splitmix64(col.to_numpy(zero_copy_only=False).astype(np.uint64))
+            h = splitmix64(pc.fill_null(col, 0).to_numpy().astype(np.uint64))
         else:
-            from ..functions.hashing import hash_strings
-
-            h = hash_strings(col.to_pylist())
+            h = hash_strings([v or "" for v in col.to_pylist()])
         return b.append_column("__bucket", pa.array((h % np.uint64(buckets)).astype(np.int32)))
 
     return (
@@ -168,42 +167,48 @@ def bucketed_groups(ds, key_col: str, fn, *, buckets: int = 32):
     )
 
 
+def bounded_fold(ds, keys: list[str], fold):
+    """THE budget-guarded fold.  ``fold`` is a pandas kernel that is correct
+    on any set of whole key groups (a groupby-aggregate, a drop_duplicates).
+    ``ds`` is materialised once, so its exact row count comes free from the
+    block metadata and upstream never runs twice: up to FOLD_BUDGET rows the
+    kernel runs once on the driver over the concatenated blocks (no ~1 s
+    AllToAll for a few thousand partial rows) and returns a DataFrame; past
+    it the same kernel runs per hash bucket of ``keys[0]``
+    (``bucketed_groups``: every row of a composite key shares its first
+    key's bucket) and a Dataset is returned.  None for empty input."""
+    ds = ds.materialize()
+    n = ds.count()
+    if n == 0:
+        return None
+    if n > FOLD_BUDGET:
+        return bucketed_groups(ds, keys[0], fold)
+    return fold(pd.concat(ds.iter_batches(batch_format="pandas", batch_size=None)))
+
+
 # ------------------------------------------------------------------ queries
 
 
 def fold_partials(ds, keys: list[str], sum_cols: list[str] | None = None,
-                  *, aggs: dict[str, str] | None = None) -> pa.Table:
-    """Driver-side fold of a BOUNDED partial-aggregate dataset: when a map
-    stage already combined per batch (<= groups × blocks partial rows), a
-    Ray `Aggregate` operator pays ~1 s of fixed AllToAll latency to sum a
-    few thousand rows — folding them on the driver is both faster and
-    exact (integer partials are order-independent; min/max are idempotent).
+                  *, aggs: dict[str, str] | None = None) -> pa.Table | None:
+    """Re-fold of a BOUNDED partial-aggregate dataset (a map stage already
+    combined per batch, <= groups × blocks rows) through ``bounded_fold``:
+    exact on both paths (integer partials are order-independent; min/max
+    are idempotent) and null keys form one group on both.
 
     ``aggs`` maps column → "sum" | "min" | "max" (default: sum every
-    ``sum_cols``).  Budget-guarded: past FOLD_BUDGET rows it falls back to
-    the distributed groupby with identical results (null keys form one
-    group on both paths), so the shape is scale-proof by construction."""
-    from ray.data.aggregate import Max, Min, Sum
-
+    ``sum_cols``).  The result is one group per row, so it is collected
+    into a Table either way; None for empty input."""
     aggs = aggs or {c: "sum" for c in (sum_cols or [])}
-    frames: list[pd.DataFrame] = []
-    rows = 0
-    for b in ds.iter_batches(batch_format="pyarrow"):
-        frames.append(b.to_pandas())
-        rows += b.num_rows
-        if rows > FOLD_BUDGET:
-            break
-    if rows > FOLD_BUDGET:
-        mk = {"sum": Sum, "min": Min, "max": Max}
-        agg = ds.groupby(keys).aggregate(
-            *[mk[f](c, alias_name=c) for c, f in aggs.items()])
-        out = [b for b in agg.iter_batches(batch_format="pyarrow")]
-        return pa.concat_tables(out) if out else None
-    if rows == 0:
+    out = bounded_fold(
+        ds, keys,
+        lambda df: df.groupby(keys, as_index=False, dropna=False).agg(aggs))
+    if out is None:
         return None
-    df = (pd.concat(frames).groupby(keys, as_index=False, dropna=False)
-          .agg(aggs))
-    return pa.Table.from_pandas(df, preserve_index=False)
+    if not isinstance(out, pd.DataFrame):  # bucketed: concat per block, so
+        # an int key that is null in one bucket widens like the driver path
+        out = pd.concat(out.iter_batches(batch_format="pandas", batch_size=None))
+    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def q_pricing_summary(sf_dir: str):

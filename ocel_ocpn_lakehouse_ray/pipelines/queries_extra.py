@@ -14,36 +14,28 @@ import pyarrow.compute as pc
 from .queries import _read, _small_arrow, broadcast_join
 
 
-# Driver-side distinct-key budget for the broadcast semi/anti path.  Past it
-# the queries DEGRADE to the co-partitioned shuffle join below instead of
-# raising (tests shrink this to force the fallback).
+# Driver-side key budget for the broadcast semi/anti path, counted in
+# per-block unique partial rows.  Past it the queries use the co-partitioned
+# shuffle join below (tests shrink this to force that path).
 MAX_DRIVER_KEYS = 5_000_000
 
 
-class DistinctKeyOverflow(ValueError):
-    """Distinct build-side cardinality exceeded the driver broadcast budget."""
-
-
-def _distinct_keys(ds, col: str, pa_type, *, max_driver_keys: int | None = None) -> pa.Array:
+def _distinct_keys(ds, col: str, pa_type):
     """Distributed distinct of a (fact-table) key column: per-block
-    ``pc.unique`` partials run on the workers, the driver unions only the
-    (distinct-cardinality-sized) partials — never the raw fact rows.  The
-    guard bounds driver memory; past it callers switch to
-    ``copartitioned_semi_join`` (no driver key set at all)."""
-    if max_driver_keys is None:
-        max_driver_keys = MAX_DRIVER_KEYS
+    ``pc.unique`` partials run on the workers and are materialised once.
+    Returns ``(partials, keys)``: ``keys`` is the sorted distinct set the
+    driver unions from the partials — never the raw fact rows — or None
+    when the partials' exact row count (block metadata) exceeds
+    MAX_DRIVER_KEYS; callers then join against ``partials`` instead."""
     partials = ds.map_batches(
         lambda b: pa.table({col: pc.unique(b[col])}), batch_format="pyarrow"
-    )
+    ).materialize()
+    if partials.count() > MAX_DRIVER_KEYS:
+        return partials, None
     vals: set = set()
-    for b in partials.iter_batches(batch_format="pyarrow"):
+    for b in partials.iter_batches(batch_format="pyarrow", batch_size=None):
         vals.update(b[col].to_pylist())
-        if len(vals) > max_driver_keys:
-            raise DistinctKeyOverflow(
-                f"distinct {col} cardinality exceeds max_driver_keys="
-                f"{max_driver_keys}; degrading to a co-partitioned semi-join"
-            )
-    return pa.array(sorted(vals), pa_type)
+    return partials, pa.array(sorted(vals), pa_type)
 
 
 def copartitioned_semi_join(probe, probe_key: str, build, build_key: str, *,
@@ -90,6 +82,29 @@ def copartitioned_semi_join(probe, probe_key: str, build, build_key: str, *,
     return joined.map_batches(project, batch_format="pyarrow")
 
 
+def _key_semi_join(probe, probe_key: str, build, build_key: str, *,
+                   anti: bool = False):
+    """Semi (or anti) join of ``probe`` against ``build``'s distinct keys:
+    broadcast the key set for an is_in filter while it fits the driver
+    budget, else copartitioned_semi_join over the same materialised
+    partials — the build side runs once either way."""
+    import ray
+
+    partials, key_set = _distinct_keys(build, build_key, pa.int64())
+    if key_set is None:
+        return copartitioned_semi_join(probe, probe_key, partials, build_key,
+                                       anti=anti, output_columns=probe.columns())
+    ref = ray.put(key_set)
+
+    def fn(b: pa.Table) -> pa.Table:
+        import ray as _r
+
+        hit = pc.is_in(b[probe_key], value_set=_r.get(ref))
+        return b.filter(pc.invert(hit) if anti else hit)
+
+    return probe.map_batches(fn, batch_format="pyarrow")
+
+
 def q_semi_join(sf_dir: str):
     """Semi-join (J3 flavor): customers having at least one order — the
     filter-then-join lookup (`agent/process_mining_queries.py:356-363`).
@@ -97,26 +112,9 @@ def q_semi_join(sf_dir: str):
     partials), then the small distinct set is broadcast for an is_in filter —
     the driver never reads fact rows (no row multiplication either).  Past
     the driver key budget it degrades to copartitioned_semi_join."""
-    import ray
-
-    ds = _read(sf_dir, "customer", columns=["c_custkey", "c_name"])
-    try:
-        key_set = _distinct_keys(
-            _read(sf_dir, "orders", columns=["o_custkey"]), "o_custkey", pa.int64()
-        )
-    except DistinctKeyOverflow:
-        return copartitioned_semi_join(
-            ds, "c_custkey", _read(sf_dir, "orders", columns=["o_custkey"]),
-            "o_custkey", output_columns=["c_custkey", "c_name"],
-        )
-    ref = ray.put(key_set)
-
-    def fn(b: pa.Table) -> pa.Table:
-        import ray as _r
-
-        return b.filter(pc.is_in(b["c_custkey"], value_set=_r.get(ref)))
-
-    return ds.map_batches(fn, batch_format="pyarrow")
+    return _key_semi_join(
+        _read(sf_dir, "customer", columns=["c_custkey", "c_name"]), "c_custkey",
+        _read(sf_dir, "orders", columns=["o_custkey"]), "o_custkey")
 
 
 _SQL_SEMI_JOIN = """
@@ -131,30 +129,15 @@ def q_anti_join(sf_dir: str):
     scale factor).  Same distributed-distinct-then-broadcast shape as
     q_semi_join — the filter runs on the workers before the unique partial —
     with the same co-partitioned degradation past the driver key budget."""
-    import ray
-
     ords = _read(sf_dir, "orders", columns=["o_custkey", "o_orderpriority"])
     urgent = ords.map_batches(
         lambda b: b.filter(pc.equal(b["o_orderpriority"], pa.scalar("1-URGENT")))
         .select(["o_custkey"]),
         batch_format="pyarrow",
     )
-    ds = _read(sf_dir, "customer", columns=["c_custkey", "c_name"])
-    try:
-        key_set = _distinct_keys(urgent, "o_custkey", pa.int64())
-    except DistinctKeyOverflow:
-        return copartitioned_semi_join(
-            ds, "c_custkey", urgent, "o_custkey", anti=True,
-            output_columns=["c_custkey", "c_name"],
-        )
-    ref = ray.put(key_set)
-
-    def fn(b: pa.Table) -> pa.Table:
-        import ray as _r
-
-        return b.filter(pc.invert(pc.is_in(b["c_custkey"], value_set=_r.get(ref))))
-
-    return ds.map_batches(fn, batch_format="pyarrow")
+    return _key_semi_join(
+        _read(sf_dir, "customer", columns=["c_custkey", "c_name"]), "c_custkey",
+        urgent, "o_custkey", anti=True)
 
 
 _SQL_ANTI_JOIN = """

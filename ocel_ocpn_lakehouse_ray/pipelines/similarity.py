@@ -236,15 +236,16 @@ def q_embedding_dedup(sf_dir: str, *, bands: int = DEDUP_BANDS,
                                  "b": pd.Series(dtype=np.int64)})
         return pd.concat(outs, ignore_index=True)
 
-    from .dedup import distinct_pairs_bounded
-    from .queries import bucketed_groups
+    from .dedup import PAIR_SCHEMA
+    from .queries import bounded_fold, bucketed_groups
 
     pairs = bucketed_groups(
         ds.map_batches(band_rows, batch_format="pyarrow"), "band", bucket_pairs
     )
     # a pair can collide in several bands → distinct, driver-folded under a
     # budget (pairs are bounded by near-dup density, not corpus size)
-    return distinct_pairs_bounded(pairs)
+    out = bounded_fold(pairs, ["a", "b"], lambda g: g.drop_duplicates(["a", "b"]))
+    return out if out is not None else PAIR_SCHEMA.empty_table()
 
 
 IVF_CLUSTERS = 16

@@ -52,6 +52,10 @@ from .shuffle import (
 )
 
 SIDE_COL = "__side"
+# Staged source rows whose keys the driver collects for fragment pruning;
+# past it the touched set comes from the distributed bloom probe instead
+# (tests shrink this to force that path).
+MAX_DRIVER_KEYS = 5_000_000
 
 
 def prune_touched_fragments(fragments, source_keys: np.ndarray, root: str | None = None):
@@ -220,7 +224,6 @@ def _journaled_plan(root: str, job_id: str) -> str | None:
 
 def run_merge(table, source_ds, *, job_id: str | None = None,
               num_partitions: int | None = None, failpoint: int | None = None,
-              max_driver_keys: int = 5_000_000,
               delete_col: str | None = None):
     """MERGE source_ds INTO table ON image_id; returns (new_table, report).
 
@@ -281,7 +284,7 @@ def run_merge(table, source_ds, *, job_id: str | None = None,
         # source key set for fragment pruning from the staged files (columnar,
         # keys only — at 10^12 rows swap for per-fragment blooms; docstring)
         src_rows = sum(pq.ParquetFile(p).metadata.num_rows for p in src_files)
-        if src_rows > max_driver_keys:
+        if src_rows > MAX_DRIVER_KEYS:
             # source keys won't fit on the driver → distributed bloom probe
             # (fragments lacking blooms are conservatively touched)
             touched_ids = prune_touched_distributed(table, src_files)

@@ -12,8 +12,9 @@ from .health import analyze_health, analyze_retention, estimate_compaction
 
 
 def generate_maintenance_plan(table, *, now: float | None = None) -> dict:
-    versions = mf.list_manifest_versions(table.root)
-    manifests = [mf.load_manifest(table.root, v) for v in versions]
+    versions = mf.list_manifest_versions(table.root, branch=table.branch)
+    manifests = [mf.load_manifest(table.root, v, branch=table.branch)
+                 for v in versions]
     health = analyze_health(table.manifest, num_snapshots=len(versions), config=table.config)
     retention = analyze_retention(manifests, now=now)
     estimate = estimate_compaction(table.fragments, table.config.target_fragment_bytes)
@@ -27,7 +28,8 @@ def generate_maintenance_plan(table, *, now: float | None = None) -> dict:
     if table.config.cluster_order != "none":
         jobs.append({"job": "clustering", "order": table.config.cluster_order,
                      "reason": "declared cluster order"})
-    if retention["recommend_expiry"]:
+    # expire_snapshots trims main's chain only; a branch chain is never expired
+    if retention["recommend_expiry"] and table.branch is None:
         jobs.append({"job": "expire_gc",
                      "reason": f"{retention['snapshots']} snapshots "
                                f"({retention['old']} old, {retention['very_old']} very old)"})

@@ -73,13 +73,15 @@ def test_merge_with_bloom_pruning_end_to_end(tmp_path):
     assert t2.manifest.total_rows == 200
 
 
-def test_merge_distributed_bloom_path(tmp_path):
-    """Force the over-driver-limit path (max_driver_keys=0): pruning must
+def test_merge_distributed_bloom_path(tmp_path, monkeypatch):
+    """Force the over-driver-limit path (MAX_DRIVER_KEYS=0): pruning must
     still exclude the untouched fragment via the distributed bloom probe."""
+    from ocel_ocpn_lakehouse_ray.stages import merge
+
+    monkeypatch.setattr(merge, "MAX_DRIVER_KEYS", 0)
     t = _interleaved_table(str(tmp_path / "t"))
     src = ray.data.from_arrow(gen_update_batch(np.arange(0, 40, 2), SEED))
-    t2, rep = run_merge(t, src, job_id="m-bloom-dist", num_partitions=2,
-                        max_driver_keys=0)
+    t2, rep = run_merge(t, src, job_id="m-bloom-dist", num_partitions=2)
     assert rep["touched_fragments"] == 1
     assert rep["untouched_fragments"] == 1
     assert t2.manifest.total_rows == 200

@@ -72,3 +72,19 @@ def test_rerun_after_success_is_stable(tmp_path):
     assert _corpus_ids(out) == ids1
     assert r2["n_output"] == r1["n_output"]
     assert r2["shards"] == r1["shards"]
+
+
+def test_rerun_with_other_parameters_starts_fresh(tmp_path):
+    """The journal is fingerprinted: a second run into the same out_dir with
+    a different ``min_tokens`` returns what a fresh run with it returns,
+    not the first run's journaled drop sets and shards."""
+    out = str(tmp_path / "o")
+    fresh_dir = str(tmp_path / "fresh")
+    curate_corpus(SF, out)
+    first_ids = _corpus_ids(out)
+    second = curate_corpus(SF, out, min_tokens=40)
+    fresh = curate_corpus(SF, fresh_dir, min_tokens=40)
+    assert _corpus_ids(out) == _corpus_ids(fresh_dir) != first_ids
+    for k in ("n_input", "n_quality", "exact_dup_drops", "near_dup_drops",
+              "n_output", "shards"):
+        assert second[k] == fresh[k], k

@@ -103,14 +103,17 @@ def test_image_knn_deterministic(tmp_path):
     assert (r1["sim"] <= 1.0 + 1e-9).all()
 
 
-def test_phash_clustering_distributed_path_matches_oracle(tmp_path):
+def test_phash_clustering_distributed_path_matches_oracle(tmp_path, monkeypatch):
     """VERDICT r2 #4: force the distributed label-propagation path
-    (max_driver_edges=0) and require the exact same clusters as the driver
+    (MAX_DRIVER_EDGES=0) and require the exact same clusters as the driver
     union-find / connected-components oracle."""
+    from ocel_ocpn_lakehouse_ray.pipelines import image_dedup
+
+    monkeypatch.setattr(image_dedup, "MAX_DRIVER_EDGES", 0)
     root = str(tmp_path / "t")
     t = create_image_table(root, 300, num_fragments=6)
     ds = t.to_dataset(columns=["image_id", "phash"])
-    out = phash_near_dup_pairs(ds, max_driver_edges=0).to_pandas()
+    out = phash_near_dup_pairs(ds).to_pandas()
 
     full = t.to_arrow(columns=["image_id", "phash"])
     ph = full["phash"].to_numpy().view(np.uint64)

@@ -124,3 +124,40 @@ def test_branches_module_holds_only_ref_operations():
                     callers.add((rel, fn.name))
     assert callers == {("table.py", "commit"),
                        ("state/branches.py", "publish_branch")}
+
+
+def test_maintenance_plan_of_a_branch_reads_the_branch_chain(tmp_table_root):
+    """A branch handle's plan counts the branch's own manifests and never
+    recommends expiry: expire_snapshots trims main's chain only."""
+    from ocel_ocpn_lakehouse_ray.stages.plan import generate_maintenance_plan
+
+    t = LakeTable.create(tmp_table_root, IMAGE_SCHEMA,
+                         TableConfig(target_fragment_bytes=1 << 20))
+    for i in range(12):
+        t = t.append_arrow(gen_batch(np.arange(i, i + 1), SEED))
+    b = t.create_branch("audit")
+    later = 1e12  # every snapshot is "very old" → main recommends expiry
+    main_plan = generate_maintenance_plan(t, now=later)
+    assert main_plan["retention"]["snapshots"] == 13
+    assert "expire_gc" in {j["job"] for j in main_plan["jobs"]}
+    plan = generate_maintenance_plan(b, now=later)
+    assert plan["retention"]["snapshots"] == 1
+    assert plan["health"]["snapshots"] == 1
+    assert "expire_gc" not in {j["job"] for j in plan["jobs"]}
+
+
+def test_manifest_json_round_trip_and_indented_manifests_load(tmp_table_root):
+    t = LakeTable.create(tmp_table_root, IMAGE_SCHEMA,
+                         TableConfig(target_fragment_bytes=1 << 20))
+    t = t.append_arrow(gen_batch(np.arange(3), SEED))
+    m = t.manifest
+    assert m.fragments and m.fragments[0].stats
+    text = m.to_json()
+    assert "\n" not in text and ", " not in text  # compact separators
+    assert mf.Manifest.from_json(text) == m
+    # manifests written with json.dumps(indent=1) still load
+    import json
+
+    indented = json.dumps(json.loads(text), indent=1)
+    assert mf.Manifest.from_json(indented) == m
+    assert m.fragments[0].to_dict() == json.loads(text)["fragments"][0]

@@ -147,12 +147,11 @@ def test_cow_empty_insert_parts_take_the_staged_source_schema(tmp_path,
         assert caps[k] == c
 
 
-@pytest.mark.parametrize("key_type,blocks", [(pa.int64(), 3), (pa.string(), 1)])
+@pytest.mark.parametrize("key_type,blocks", [(pa.int64(), 3), (pa.string(), 3)])
 def test_fold_partials_null_keys_agree_on_both_paths(key_type, blocks,
                                                      monkeypatch):
-    """Null keys form one group on the driver fold and on the distributed
-    fallback alike.  (Ray's sort-based groupby cannot order null string
-    keys across blocks, so the string case runs on one block.)"""
+    """Null keys form one group on the driver fold and on the bucketed
+    fallback alike, with the null keys spread over several blocks."""
     from ocel_ocpn_lakehouse_ray.pipelines import queries
 
     keys = [1, None, 2, None, 1, 3, None]

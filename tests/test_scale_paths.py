@@ -7,7 +7,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pytest
 
 import ray.data
 
@@ -80,12 +79,16 @@ def test_ann_ivf_recall_vs_bruteforce():
     assert rows == rows2  # deterministic
 
 
-def test_distinct_keys_guard_and_correctness():
+def test_distinct_keys_guard_and_correctness(monkeypatch):
+    from ocel_ocpn_lakehouse_ray.pipelines import queries_extra as qe
+
     ds = ray.data.from_arrow(pa.table({"k": pa.array([3, 1, 2, 3, 1], pa.int64())}))
-    keys = _distinct_keys(ds, "k", pa.int64())
+    _, keys = _distinct_keys(ds, "k", pa.int64())
     assert keys.to_pylist() == [1, 2, 3]
-    with pytest.raises(ValueError, match="max_driver_keys"):
-        _distinct_keys(ds, "k", pa.int64(), max_driver_keys=2)
+    monkeypatch.setattr(qe, "MAX_DRIVER_KEYS", 2)
+    partials, keys = _distinct_keys(ds, "k", pa.int64())
+    assert keys is None  # past the budget: the caller joins the partials
+    assert sorted(partials.to_pandas()["k"]) == [1, 2, 3]
 
 
 def _sorted_rows(ds):
