@@ -24,6 +24,11 @@ NDIMS = 3
 KEY_BITS = BITS_PER_DIM * NDIMS  # 48
 SALT_BITS = 16
 
+# Bumped whenever a key's value changes for some input; clustering folds it
+# into its job fingerprint, so a resume never pairs new keys with range
+# boundaries sampled under old ones.  2: phash's sign bit flipped.
+KEY_VERSION = 2
+
 _U = np.uint64
 
 
@@ -48,9 +53,12 @@ def _key_dims(phash: np.ndarray, w: np.ndarray, h: np.ndarray) -> list[np.ndarra
     """Reduce (phash, w, h) to three 16-bit dimensions.
 
     phash is already hash-distributed; its top 16 bits carry the coarse
-    perceptual buckets.  w/h are small ints used raw (clipped to 16 bits).
+    perceptual buckets.  Flipping the sign bit maps signed int64 order onto
+    unsigned order, so the key sorts phash the way the signed fragment stats
+    and scan predicates do.  w/h are small ints used raw (clipped to 16 bits).
     """
-    p = (phash.astype(np.int64).view(np.uint64) >> _U(48)) & _U(0xFFFF)
+    ordered = phash.astype(np.int64).view(np.uint64) ^ _U(1 << 63)
+    p = (ordered >> _U(48)) & _U(0xFFFF)
     return [
         p,
         w.astype(np.uint64) & _U(0xFFFF),

@@ -170,9 +170,10 @@ def phash_near_dup_pairs(ds, *, bands: int = BANDS,
                 "hamming": d.astype(np.int64),
             }))
         if not outs:
-            return pd.DataFrame({"representative": pd.Series(dtype=object),
-                                 "member": pd.Series(dtype=object),
-                                 "hamming": pd.Series(dtype=np.int64)})
+            # an Arrow block: Ray cannot size an empty pandas string column
+            return pa.table({"representative": pa.array([], pa.string()),
+                             "member": pa.array([], pa.string()),
+                             "hamming": pa.array([], pa.int64())})
         return pd.concat(outs, ignore_index=True)
 
     return bucketed_groups(rooted, "root", cluster_rows)

@@ -166,7 +166,8 @@ def maint_expire_gc(sf_dir: str) -> pd.DataFrame:
     rep = fsck(root)
     df = _scan(LakeTable.load(root))
     # fsck must be clean post-GC; surface it in the result for the rows check
-    df["gc_clean"] = bool(not rep["orphans"] and not rep["missing"])
+    df["gc_clean"] = not (rep["orphans"] or rep["missing"]
+                          or rep["stale_payload"])
     return df
 
 

@@ -33,7 +33,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions.hashing import hash_strings
-from ..functions.zorder import hilbert_key, salted_key, zorder_key
+from ..functions.zorder import KEY_VERSION, hilbert_key, salted_key, zorder_key
 from ..state import lineage
 from .shuffle import choose_num_partitions
 
@@ -164,7 +164,8 @@ def run_clustering(table, *, order: str | None = None, job_id: str | None = None
                 "base_version": table.version}
 
     meta = lineage.open_job(table.root, job_id,
-                            lineage.fingerprint(order, num_partitions), plan)
+                            lineage.fingerprint(order, num_partitions, KEY_VERSION),
+                            plan)
     bounds = np.array(meta["boundaries"], dtype=np.uint64)
     P = meta["num_parts"]
 

@@ -251,7 +251,10 @@ def run_merge(table, source_ds, *, job_id: str | None = None,
     # enter ONE read_parquet — target fragments lack __side and are null-filled
     # by the read schema — so there is no Dataset.union (Ray's union operator
     # serializes poorly and tripled the shuffle cost when measured) and no
-    # second execution of the source pipeline for key collection.
+    # second execution of the source pipeline for key collection.  The staged
+    # source lives until the commit: a resume before it reuses the files
+    # (``_SUCCESS`` marks them whole), and ``lineage.drop_payload`` deletes
+    # them, with cow's sidecars, right after it (or GC does, after a crash).
     src_dir = os.path.join(lineage.journal_dir(table.root, job_id), "source")
     marker = os.path.join(src_dir, "_SUCCESS")
     if not os.path.exists(marker):  # resume reuses the staged source
@@ -395,6 +398,7 @@ def run_merge(table, source_ds, *, job_id: str | None = None,
                  "rows": rows, "updates": updates, "inserts": inserts,
                  "deletes": deletes, "seconds": round(elapsed, 3)},
     )
+    lineage.drop_payload(table.root, job_id)
     ph["commit"] = round(time.time() - t0 - sum(ph.values()), 3)
     report = dict(new_table.manifest.summary)
     report["rows_per_sec"] = round(rows / elapsed, 1) if elapsed > 0 else None

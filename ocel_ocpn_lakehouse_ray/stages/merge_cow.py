@@ -66,7 +66,8 @@ def _write_sidecar(root: str, job_id: str, kind: str, fragment_id: str,
     """Idempotent journal sidecar ``<kind>/<fragment_id>.parquet`` (tmp +
     atomic rename): ``matched`` holds the source keys a fragment consumed,
     ``leftover`` its routed-but-unmatched source rows (full payload;
-    bounded by the routing false-positive rate, not the source)."""
+    bounded by the routing false-positive rate, not the source).  Both are
+    job payload, deleted once the MERGE commits (``lineage.drop_payload``)."""
     import uuid
 
     from ..sources.fragments import column_compression

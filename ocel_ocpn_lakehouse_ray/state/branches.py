@@ -10,7 +10,7 @@ the writable kind.
 Design — a branch is one more manifest chain.  `state/manifest.py` owns
 every chain (layout, loader, head swap and the one commit protocol; pass
 ``branch=name``); this module holds only the ref operations: name check,
-fork, mirror, delete, GC pinning and publish.  A branch chain lives in
+fork, mirror, delete and publish.  A branch chain lives in
 ``_branches/<name>/`` and starts at v0, a copy of the main manifest it
 forked from.  Keeping branch manifests out of main's ``manifests/`` matters:
 a commit's roll-forward advances the head to the highest manifest in ITS
@@ -18,7 +18,7 @@ chain's directory, so a branch manifest numbered past main's head can never
 be published on main by accident.  Data files are shared (`data/` is
 content-addressed), so a branch append writes fragments exactly like a main
 append — only the chain differs; GC reachability includes branch chains
-(`stages/gc.reachable_fragments`).
+(`stages/gc.scan_chains`).
 
 Publishing applies the branch's NET change (relative to its fork point)
 onto CURRENT main — appends that landed on main meanwhile are preserved,
@@ -110,16 +110,6 @@ def delete_branch(root: str, name: str) -> None:
     if not os.path.isdir(bdir):
         raise KeyError(f"unknown branch {name!r}")
     shutil.rmtree(bdir)
-
-
-def branch_reachable_fragments(root: str) -> set:
-    """Fragment ids referenced by ANY branch manifest — pins them against
-    GC exactly like retained main manifests."""
-    live: set = set()
-    for name in list_branches(root):
-        for v in mf.list_manifest_versions(root, branch=name):
-            live |= mf.load_manifest(root, v, branch=name).fragment_ids()
-    return live
 
 
 def publish_branch(root: str, name: str, *, delete: bool = True) -> mf.Manifest:

@@ -26,13 +26,21 @@ partitions.  The protocol, stated once for every job:
    shardable across nodes on shared storage).
 5. **Collect** (``collect``): the driver builds the commit from the journal,
    raising if any planned partition has no record.
+6. **Drop payload** (``drop_payload``): once the job's manifest commit is
+   durable, everything else a job staged under its journal directory (MERGE's
+   staged source, cow's sidecars, a crashed shuffle's partials) is garbage;
+   only ``meta.json`` and the records stay.  The job calls it right after its
+   commit, and GC calls it for every job stamped on a manifest, which covers
+   a crash between the two.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import shutil
 from dataclasses import dataclass, field, asdict
 
 from .manifest import JOURNAL_DIR, FragmentMeta, write_atomic
@@ -173,6 +181,30 @@ def write_job_meta(root: str, job_id: str, meta: dict) -> None:
     d = journal_dir(root, job_id)
     os.makedirs(d, exist_ok=True)
     write_atomic(os.path.join(d, "meta.json"), json.dumps(meta))
+
+
+def payload(root: str, job_id: str) -> list[str]:
+    """Names under ``journal/<job_id>/`` other than ``meta.json`` and the
+    ``part-*.json`` records: the job's staged payload."""
+    d = journal_dir(root, job_id)
+    if not os.path.isdir(d):
+        return []
+    return sorted(n for n in os.listdir(d) if n != "meta.json"
+                  and not (n.startswith("part-") and n.endswith(".json")))
+
+
+def drop_payload(root: str, job_id: str) -> list[str]:
+    """Delete a committed job's payload (``payload``); the meta and records
+    stay.  Returns the names removed."""
+    names = payload(root, job_id)
+    for name in names:
+        p = os.path.join(journal_dir(root, job_id), name)
+        if os.path.isdir(p):
+            shutil.rmtree(p, ignore_errors=True)
+        else:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(p)
+    return names
 
 
 def load_job_meta(root: str, job_id: str) -> dict | None:

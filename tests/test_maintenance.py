@@ -334,6 +334,37 @@ def test_gc_grace_period_protects_staged_writes(tmp_path):
     assert os.path.exists(staged)
 
 
+@pytest.mark.parametrize("job", ["expire_snapshots", "expire_and_gc"])
+def test_expiry_keeps_a_commit_that_lands_during_it(tmp_path, monkeypatch, job):
+    """A writer commits after expiry has listed main's versions: the new
+    head is outside that listing, so it must survive, and so must its
+    fragments."""
+    from ocel_ocpn_lakehouse_ray.stages import gc
+    from ocel_ocpn_lakehouse_ray.state import manifest as mf
+
+    root = str(tmp_path / "t")
+    t = create_image_table(root, 40, num_fragments=2, seed=SEED)
+    t = t.append_arrow(gen_batch(np.arange(40, 50), SEED))
+    real_tags, landed = mf.tagged_versions, []
+
+    def tags_then_commit(r):
+        # called once expiry has listed the versions
+        if not landed:
+            landed.append(t.append_arrow(gen_batch(np.arange(50, 60), SEED)))
+        return real_tags(r)
+
+    monkeypatch.setattr(mf, "tagged_versions", tags_then_commit)
+    if job == "expire_snapshots":
+        rep = gc.expire_snapshots(root, keep_last=1)
+    else:
+        rep = gc.expire_and_gc(root, keep_last=1, orphan_grace_seconds=0)["expiry"]
+    head = landed[0].version
+    assert head not in rep["expired"] and rep["expired"]
+    assert mf.read_latest_version(root) == head
+    assert LakeTable.load(root).to_dataset().count() == 60
+    assert fsck(root)["missing"] == []
+
+
 # ----------------------------------------------------------------- verifier
 
 def test_scan_equivalence_detects_corruption():

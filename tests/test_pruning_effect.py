@@ -63,3 +63,28 @@ def test_sample_boundaries_subsampled_path(tmp_path):
     counts = np.bincount(np.searchsorted(np.array(b1, np.uint64), keys,
                                          side="right"), minlength=4)
     assert counts.min() >= len(keys) * 0.05, counts
+
+
+def test_zorder_fragment_phash_ranges_follow_signed_order(tmp_path):
+    """The cluster key orders phash as the signed int64 the fragment stats
+    and scan predicates use: after Z-order clustering of a table holding
+    both signs of phash, the fragments' phash ranges are disjoint up to one
+    key bucket (an unsigned key order put the negative values after the
+    positive ones, so one fragment spanned nearly the whole signed domain).
+
+    w and h stay below 2**8, so the Morton key orders rows by phash's top 8
+    bits before any w/h bit: only rows of one 2**56-wide phash bucket can
+    interleave across a partition boundary, and two fragments overlap by
+    less than that bucket."""
+    root = str(tmp_path / "t")
+    t = create_image_table(root, 400, num_fragments=10)
+    t, _ = run_compaction(t, job_id="dj-c")
+    t, _ = run_clustering(t, order="zorder", job_id="dj-z", num_partitions=8)
+    spans = sorted((f.stats["phash"]["min"], f.stats["phash"]["max"])
+                   for f in t.fragments)
+    assert spans[0][0] < 0 < spans[-1][1]
+    assert len(spans) > 1
+    # sorted by min, a fragment overlapping ANY later one by a bucket or
+    # more also overlaps its successor by that much
+    for (_, hi), (lo, _) in zip(spans, spans[1:]):
+        assert hi - lo < 1 << 56, spans
