@@ -142,18 +142,20 @@ def write_table_as_fragments(
     *,
     target_bytes: int,
     name_parts: tuple | None = None,
+    first_seq: int = 0,
 ) -> list[FragmentMeta]:
     """Write a (possibly oversized) Arrow table as >=1 fragments of ~target size.
 
     ``name_parts`` (job_id, partition_id) makes names content-addressed; the
-    per-slice seq is appended.  Without it, names are random (plain appends)."""
+    per-slice seq, counted from ``first_seq``, is appended.  Without it,
+    names are random (plain appends)."""
     if tbl.num_rows == 0:
         return []
     nbytes = max(tbl.nbytes, 1)
     n_frags = max(1, round(nbytes / target_bytes))
     rows_per = -(-tbl.num_rows // n_frags)  # ceil
     out = []
-    seq = 0
+    seq = first_seq
     for start in range(0, tbl.num_rows, rows_per):
         # slice is zero-copy; do NOT combine_chunks — the parquet writer
         # handles chunked tables, and combining memcpys the whole payload

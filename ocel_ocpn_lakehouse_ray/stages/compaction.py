@@ -28,6 +28,7 @@ import pyarrow.parquet as pq
 
 from ..state import lineage
 from ..state.manifest import FragmentMeta
+from .clustering import STAMP
 from .health import estimate_compaction
 
 
@@ -41,16 +42,19 @@ class CompactionPlan:
 def plan_compaction(fragments, *, target_bytes: int, small_bytes: int) -> CompactionPlan:
     """Greedy first-fit-decreasing bin packing (A14 made real).
 
-    Candidates are all fragments below the target size; bins are capped at
-    ``target_bytes``.  A bin that would contain a single fragment already
-    above the small-file threshold is not worth rewriting and stays untouched.
+    Candidates are all fragments below the target size but clustered runs
+    (a ``cluster_range`` stamp, stages/clustering.py): binning one with
+    unclustered files would drop its placement, and a range's delta run is
+    small by design.  Bins are capped at ``target_bytes``.  A bin that would
+    contain a single fragment already above the small-file threshold is not
+    worth rewriting and stays untouched.
     """
-    candidates = sorted(
-        (f for f in fragments if f.bytes < target_bytes),
-        key=lambda f: f.bytes,
-        reverse=True,
-    )
-    untouched = [f for f in fragments if f.bytes >= target_bytes]
+    def candidate(f) -> bool:
+        return f.bytes < target_bytes and STAMP not in f.stats
+
+    candidates = sorted(filter(candidate, fragments), key=lambda f: f.bytes,
+                        reverse=True)
+    untouched = [f for f in fragments if not candidate(f)]
     bins: list[list[FragmentMeta]] = []
     room: list[int] = []
     for f in candidates:

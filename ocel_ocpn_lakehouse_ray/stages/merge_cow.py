@@ -17,7 +17,12 @@ strategy:
      fragment id): the task reads ITS fragment directly from table storage,
      replaces matched rows with the source version, writes the new
      fragment(s), journals lineage, and records which source keys it
-     consumed (a `matched/<fragment>.parquet` journal sidecar).
+     consumed (a `matched/<fragment>.parquet` journal sidecar).  A fragment
+     a clustering stamped with its key range (``cluster_range``,
+     stages/clustering.py) stays in range: its rewrite keeps the rows whose
+     cluster key is still inside the range, sorted and re-stamped, and
+     writes the movers — updates whose new phash/w/h left the range — as a
+     separate unstamped fragment, which the next re-cluster routes.
   3. **Insert pass**: source rows whose key was consumed by NO fragment
      (range/bloom candidates can be false positives) are anti-joined against
      the matched-key sidecars (a source-sized hash join, never a driver key
@@ -55,6 +60,7 @@ import pyarrow.parquet as pq
 
 from ..functions import bloom as bl
 from ..state import lineage
+from .clustering import STAMP, write_in_range
 from .shuffle import PART_COL, assign_hash_part
 
 FRAG_COL = "__fidx"   # int32 index into the sorted touched-fragment list
@@ -266,6 +272,7 @@ def cow_merge(table, src_files: list[str], touched, *, job_id: str,
     frags_ref = _routing_ref(table, touched)
     frag_ids = [f.fragment_id for f in touched]
     frag_paths = [f.path for f in touched]
+    frag_stamps = [f.stats.get(STAMP) for f in touched]
 
     # p_ins must be STABLE across resume: cow-insert-NNNNN journal records
     # are keyed by hash partition (and the route itself salts by it), so
@@ -329,7 +336,8 @@ def cow_merge(table, src_files: list[str], touched, *, job_id: str,
             # concat without combine_chunks: concat is zero-copy (chunk-list
             # append); combining would memcpy the full payload a second time
             merged = pa.concat_tables([tgt.filter(pc.invert(hit)), applied])
-            metas = write(merged, target_bytes=target_bytes)
+            metas = write_in_range(write, merged, frag_stamps[fidx],
+                                   target_bytes=target_bytes)
             _write_sidecar(root, job_id, "matched", fid,
                            pa.table({"image_id": matched}))
             # leftover = rows ROUTED here (range/bloom candidates) but

@@ -8,6 +8,7 @@ to an executable stage in this package.
 from __future__ import annotations
 
 from ..state import manifest as mf
+from .clustering import stamp
 from .health import analyze_health, analyze_retention, estimate_compaction
 
 
@@ -25,9 +26,13 @@ def generate_maintenance_plan(table, *, now: float | None = None) -> dict:
                      "reason": f"{health.small_fragments} small fragments "
                                f"({health.small_fraction:.0%})",
                      "estimate": estimate})
-    if table.config.cluster_order != "none":
-        jobs.append({"job": "clustering", "order": table.config.cluster_order,
-                     "reason": "declared cluster order"})
+    order = table.config.cluster_order
+    unplaced = (sum(f.bytes for f in table.fragments if stamp(f, order) is None)
+                if order != "none" else 0)
+    if unplaced:  # live bytes no clustering has placed in the declared order
+        jobs.append({"job": "clustering", "order": order,
+                     "reason": f"{unplaced / table.manifest.total_bytes:.1%} of "
+                               f"live bytes unplaced in {order} order"})
     # expire_snapshots trims main's chain only; a branch chain is never expired
     if retention["recommend_expiry"] and table.branch is None:
         jobs.append({"job": "expire_gc",

@@ -17,9 +17,10 @@ partitions.  The protocol, stated once for every job:
    (``run_partition``).
 3. **Naming**: the kernel writes its fragments through the ``write``
    callback, which names them content-addressed by ``(job_id,
-   partition_id)`` (functions/hashing.content_address) — a replayed task
-   re-creates the identical file names, so journal + naming give
-   exactly-once output effects per partition.
+   partition_id, seq)`` (functions/hashing.content_address; ``seq`` runs on
+   across the kernel's calls) — a replayed task re-creates the identical
+   file names, so journal + naming give exactly-once output effects per
+   partition.
 4. **Record**: after the outputs are durable the task writes
    ``journal/<job_id>/part-<partition_id>.json`` via ``write_atomic``
    (no cross-worker append races; safe on any POSIX fs and
@@ -121,14 +122,22 @@ def run_partition(root: str, job_id: str, partition_id: str, kernel, *,
     """Run ``kernel(write)`` for one partition and journal its record.
 
     ``write(tbl, target_bytes=...)`` writes ``tbl`` as fragments named
-    ``(job_id, partition_id)`` and returns their metas.  The kernel returns
-    ``(frags_out, rows, extra)``; the record's bytes are its outputs'."""
-    from functools import partial
-
+    ``(job_id, partition_id, seq)`` and returns their metas; ``seq`` runs on
+    across calls, so a kernel may call it more than once.  The kernel
+    returns ``(frags_out, rows, extra)``; the record's bytes are its
+    outputs'."""
     from ..sources.fragments import write_table_as_fragments
 
-    write = partial(write_table_as_fragments, root,
-                    name_parts=(job_id, partition_id))
+    seq = 0
+
+    def write(tbl, *, target_bytes):
+        nonlocal seq
+        metas = write_table_as_fragments(
+            root, tbl, target_bytes=target_bytes,
+            name_parts=(job_id, partition_id), first_seq=seq)
+        seq += len(metas)
+        return metas
+
     metas, rows, extra = kernel(write)
     rec = PartitionRecord(
         job_id=job_id, partition_id=partition_id, frags_in=frags_in,
