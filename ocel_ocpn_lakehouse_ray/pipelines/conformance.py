@@ -99,7 +99,7 @@ def q_conformance(sf_dir: str):
     def dfg_part(b: pa.Table) -> pa.Table:
         df = pd.DataFrame({"src": b["src"].to_pylist(), "dst": b["dst"].to_pylist()})
         out = df.groupby(["src", "dst"], sort=False).size().reset_index(name="c")
-        return pa.Table.from_pandas(out, preserve_index=False)
+        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
     from .queries import _pq, fold_partials
 
@@ -147,7 +147,7 @@ def q_conformance(sf_dir: str):
         })
         df["n_edges"] = 1
         out = df.groupby("user_id", sort=False)[["n_edges", "n_hit"]].sum().reset_index()
-        return pa.Table.from_pandas(out, preserve_index=False)
+        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
     # per-(user, block) partials are bounded by users × blocks-per-user —
     # budget-guarded driver fold (bucketed fallback past it)

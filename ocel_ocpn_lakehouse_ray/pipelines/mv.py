@@ -148,7 +148,7 @@ class IncrementalAggView(MaterializedView):
         else:
             df = self._agg(src.to_dataset(columns=self.key_cols))
         df = df.sort_values(self.key_cols).reset_index(drop=True)
-        data = pa.Table.from_pandas(df, preserve_index=False)
+        data = pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
         if not self.exists():
             LakeTable.create(self.root, data.schema,
                              TableConfig(target_fragment_bytes=128 * 1024 * 1024))

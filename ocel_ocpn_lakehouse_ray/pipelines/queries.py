@@ -38,9 +38,17 @@ def _pq(sf_dir: str, name: str) -> str:
 
 
 def _read(sf_dir: str, name: str, columns=None, **kw):
+    """Read one table, minus its schema metadata: a pandas-written file's
+    ``b'pandas'`` entry is a dict once parsed, so Ray's block concat cannot
+    hash the schemas and logs a warning every time."""
+    import pyarrow.parquet as pq
     import ray.data
 
-    return ray.data.read_parquet(_pq(sf_dir, name), columns=columns, **kw)
+    path = _pq(sf_dir, name)
+    schema = pq.read_schema(path).remove_metadata()
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns])
+    return ray.data.read_parquet(path, columns=columns, schema=schema, **kw)
 
 
 def _read_wide(sf_dir: str, name: str, columns=None, **kw):
@@ -208,7 +216,7 @@ def fold_partials(ds, keys: list[str], sum_cols: list[str] | None = None,
     if not isinstance(out, pd.DataFrame):  # bucketed: concat per block, so
         # an int key that is null in one bucket widens like the driver path
         out = pd.concat(out.iter_batches(batch_format="pandas", batch_size=None))
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
 
 def q_pricing_summary(sf_dir: str):
@@ -1073,8 +1081,8 @@ def q_merge_documents(sf_dir: str):
 
     ds.map_batches(tag_src, batch_format="pyarrow").write_parquet(src_dir)
     src_files = sorted(glob.glob(os.path.join(src_dir, "*.parquet")))
-    read_schema = pq.read_schema(_pq(sf_dir, "documents")).append(
-        pa.field("__side", pa.int8()))
+    read_schema = pq.read_schema(_pq(sf_dir, "documents")).remove_metadata() \
+        .append(pa.field("__side", pa.int8()))  # no b'pandas' dict: see _read
     both = ray.data.read_parquet([_pq(sf_dir, "documents")] + src_files,
                                  schema=read_schema)
 

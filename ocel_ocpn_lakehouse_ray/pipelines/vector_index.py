@@ -82,7 +82,7 @@ def build_ivf_index(sf_dir: str, index_dir: str, *, nlist: int = 16,
             if not os.path.exists(final):  # resume: list already written
                 tbl = pa.Table.from_pandas(
                     grp[["vec_id", "embedding"]].sort_values("vec_id"),
-                    preserve_index=False)
+                    preserve_index=False).replace_schema_metadata(None)
                 tmp = final + f".tmp.{os.getpid()}"
                 pq.write_table(tbl, tmp)
                 os.replace(tmp, final)

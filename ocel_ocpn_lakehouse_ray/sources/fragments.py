@@ -22,7 +22,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..functions.hashing import content_address
-from ..state.manifest import DATA_DIR, FragmentMeta
+from ..state.manifest import ARROW_BYTES_STAT, DATA_DIR, FragmentMeta
 
 # Arrow scalar → JSON-serializable python value
 def _to_py(v):
@@ -115,6 +115,7 @@ def write_fragment(root: str, tbl: pa.Table, name: str | None = None) -> Fragmen
                        row_group_size=_row_group_size(tbl))
         os.replace(tmp, final)
     stats = compute_stats(tbl)
+    stats[ARROW_BYTES_STAT] = tbl.nbytes  # the unit write_table_as_fragments splits on
     if MERGE_KEY_COLUMN in tbl.column_names and pa.types.is_string(
         tbl.schema.field(MERGE_KEY_COLUMN).type
     ):

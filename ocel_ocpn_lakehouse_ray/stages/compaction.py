@@ -10,6 +10,13 @@ metadata (tiny); a ``Dataset`` of bin descriptors fans the rewrites out as
 (state/lineage.py); the job fingerprints its bin plan, so a resume over a
 re-packed plan raises instead of rewriting a fragment twice.
 
+Sizes are Arrow bytes (``FragmentMeta.arrow_bytes``): ``target_fragment_bytes``
+is the unit the writer splits an output on (sources/fragments.py), so the
+planner measures in it too.  A bin is then at most one target in the writer's
+unit and becomes exactly one output, and a full output is never a candidate
+again; in parquet file bytes, an output whose columns encode well stays under
+the target and was re-read at every later pass.
+
 At 100 TB: bins are ~target_fragment_bytes (256 MB) units, so a full-table
 compaction is ~400k independent 256 MB read+write tasks with zero data
 exchange — embarrassingly parallel across a 256-node cluster, bounded only by
@@ -39,42 +46,36 @@ class CompactionPlan:
     estimate: dict = field(default_factory=dict)
 
 
-def plan_compaction(fragments, *, target_bytes: int, small_bytes: int) -> CompactionPlan:
-    """Greedy first-fit-decreasing bin packing (A14 made real).
+def plan_compaction(fragments, *, target_bytes: int) -> CompactionPlan:
+    """Greedy first-fit-decreasing bin packing (A14 made real), in Arrow bytes.
 
     Candidates are all fragments below the target size but clustered runs
     (a ``cluster_range`` stamp, stages/clustering.py): binning one with
     unclustered files would drop its placement, and a range's delta run is
-    small by design.  Bins are capped at ``target_bytes``.  A bin that would
-    contain a single fragment already above the small-file threshold is not
-    worth rewriting and stays untouched.
+    small by design.  Bins are capped at ``target_bytes``.  A bin holding a
+    single fragment stays untouched: rewriting one file into one file cannot
+    lower the file count.
     """
     def candidate(f) -> bool:
-        return f.bytes < target_bytes and STAMP not in f.stats
+        return f.arrow_bytes < target_bytes and STAMP not in f.stats
 
-    candidates = sorted(filter(candidate, fragments), key=lambda f: f.bytes,
+    candidates = sorted(filter(candidate, fragments), key=lambda f: f.arrow_bytes,
                         reverse=True)
     untouched = [f for f in fragments if not candidate(f)]
     bins: list[list[FragmentMeta]] = []
     room: list[int] = []
     for f in candidates:
         for i in range(len(bins)):
-            if room[i] >= f.bytes:
+            if room[i] >= f.arrow_bytes:
                 bins[i].append(f)
-                room[i] -= f.bytes
+                room[i] -= f.arrow_bytes
                 break
         else:
             bins.append([f])
-            room.append(target_bytes - f.bytes)
-    # single-fragment bins above the small-file threshold gain nothing
-    real_bins = []
-    for b in bins:
-        if len(b) == 1 and b[0].bytes >= small_bytes:
-            untouched.append(b[0])
-        else:
-            real_bins.append(b)
+            room.append(target_bytes - f.arrow_bytes)
+    untouched += [b[0] for b in bins if len(b) == 1]
     return CompactionPlan(
-        bins=real_bins,
+        bins=[b for b in bins if len(b) > 1],
         untouched=untouched,
         estimate=estimate_compaction(fragments, target_bytes),
     )
@@ -116,16 +117,13 @@ def run_compaction(table, *, job_id: str | None = None, failpoint: int | None = 
     cfg = table.config
     job_id = job_id or lineage.default_job_id("compact", table)
     t0 = time.time()
-    plan = plan_compaction(
-        table.fragments,
-        target_bytes=cfg.target_fragment_bytes,
-        small_bytes=cfg.small_file_bytes,
-    )
+    plan = plan_compaction(table.fragments, target_bytes=cfg.target_fragment_bytes)
     if not plan.bins:
         return table, {"job_id": job_id, "bins": 0, "rows": 0, "seconds": 0.0,
                        "skipped": "nothing to compact", "estimate": plan.estimate}
     bin_frags = [[f.fragment_id for f in b] for b in plan.bins]
     lineage.open_job(table.root, job_id, lineage.fingerprint(bin_frags))
+    phases = {"plan": round(time.time() - t0, 3)}
 
     bin_ids = [f"bin-{i:05d}" for i in range(len(plan.bins))]
     ray.data.from_items([
@@ -139,6 +137,7 @@ def run_compaction(table, *, job_id: str | None = None, failpoint: int | None = 
         batch_format="pyarrow",
         batch_size=1,
     ).materialize()  # drive all bin tasks; results land in the journal
+    phases["rewrite"] = round(time.time() - t0 - sum(phases.values()), 3)
 
     # Build the commit from the journal (works for fresh AND resumed runs)
     add, remove_ids, rows = [], set(), 0
@@ -146,29 +145,21 @@ def run_compaction(table, *, job_id: str | None = None, failpoint: int | None = 
         add.extend(rec.out_metas())
         remove_ids.update(rec.frags_in)
         rows += rec.rows
-    elapsed = time.time() - t0
+    summary = {"job_id": job_id, "bins": len(plan.bins),
+               "fragments_in": len(remove_ids), "fragments_out": len(add),
+               "rows": rows}
     new_table = table.commit(
-        operation="compact",
-        add=add,
-        remove_ids=remove_ids,
-        summary={
-            "job_id": job_id,
-            "bins": len(plan.bins),
-            "fragments_in": len(remove_ids),
-            "fragments_out": len(add),
-            "rows": rows,
-            "seconds": round(elapsed, 3),
-        },
-    )
+        operation="compact", add=add, remove_ids=remove_ids,
+        summary={**summary, "seconds": round(time.time() - t0, 3)})
+    phases["commit"] = round(time.time() - t0 - sum(phases.values()), 3)
+    elapsed = time.time() - t0
     report = {
-        "job_id": job_id,
-        "bins": len(plan.bins),
-        "fragments_in": len(remove_ids),
-        "fragments_out": len(add),
-        "rows": rows,
-        "bytes": sum(m.bytes for m in add),
+        **summary,
+        "bytes_read": sum(f.bytes for b in plan.bins for f in b),
+        "bytes_written": sum(m.bytes for m in add),
         "seconds": round(elapsed, 3),
         "rows_per_sec": round(rows / elapsed, 1) if elapsed > 0 else None,
+        "phase_seconds": phases,
         "estimate": plan.estimate,
     }
     return new_table, report

@@ -31,9 +31,9 @@ class HealthReport:
     avg_bytes: float
     min_bytes: int
     max_bytes: int
-    small_fragments: int          # < small_file_bytes
+    small_fragments: int          # arrow_bytes < small_file_bytes
     medium_fragments: int
-    large_fragments: int          # >= target_fragment_bytes
+    large_fragments: int          # arrow_bytes >= target_fragment_bytes
     small_fraction: float
     skew_ratio: float             # (max-min)/avg, alarm when > 2.0 (A12)
     snapshots: int
@@ -50,8 +50,9 @@ def analyze_health(manifest, *, num_snapshots: int, config=None) -> HealthReport
     n = len(sizes)
     total = sum(sizes)
     avg = total / n if n else 0.0
-    small = sum(1 for s in sizes if s < small_t)
-    large = sum(1 for s in sizes if s >= target_t)
+    # size classes in the unit compaction plans in (stages/compaction.py)
+    small = sum(1 for f in frags if f.arrow_bytes < small_t)
+    large = sum(1 for f in frags if f.arrow_bytes >= target_t)
     small_frac = small / n if n else 0.0
     skew = ((max(sizes) - min(sizes)) / avg) if n and avg else 0.0
 
@@ -90,8 +91,9 @@ def analyze_health(manifest, *, num_snapshots: int, config=None) -> HealthReport
 
 
 def estimate_compaction(fragments, target_bytes: int) -> dict:
-    """A14: ``estimated_files_after = max(1, total_size // target)``."""
-    total = sum(f.bytes for f in fragments)
+    """A14: ``estimated_files_after = max(1, total_size // target)``, sizes
+    in Arrow bytes, the unit compaction plans in."""
+    total = sum(f.arrow_bytes for f in fragments)
     before = len(fragments)
     after = max(1, total // target_bytes) if total else 0
     return {

@@ -51,6 +51,7 @@ DATA_DIR = "data"
 JOURNAL_DIR = "journal"
 LATEST_FILE = "_latest"
 BRANCHES_DIR = "_branches"
+ARROW_BYTES_STAT = "__nbytes"  # the fragment's Arrow size, stamped at write
 
 
 @dataclass
@@ -60,7 +61,8 @@ class FragmentMeta:
     ``stats`` maps column name → {"min": v, "max": v, "null_count": n} for every
     non-binary column — the payload of the reference's "manifest rewrite"
     (scan planning reads file_size_in_bytes at `ops/maintenance_system.py:38-49`;
-    we add per-column min/max so predicates can prune fragments).
+    we add per-column min/max so predicates can prune fragments).  Keys with a
+    ``__`` prefix are not columns (``__bloom``, ``__nbytes``).
     """
 
     fragment_id: str
@@ -68,6 +70,14 @@ class FragmentMeta:
     rows: int
     bytes: int
     stats: dict = field(default_factory=dict)
+
+    @property
+    def arrow_bytes(self) -> int:
+        """The fragment's size in Arrow bytes, the unit the fragment writer
+        splits on (``target_fragment_bytes``); parquet's encodings can store
+        it far smaller on disk.  Fragments written before the stamp fall back
+        to their file size."""
+        return self.stats.get(ARROW_BYTES_STAT, self.bytes)
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
