@@ -47,10 +47,10 @@ class TableConfig:
 
     ``target_fragment_bytes`` and ``small_file_bytes`` are Arrow (in-memory)
     bytes: the fragment writer splits an output at the target in that unit,
-    and the compaction planner and the health size classes measure in it too
-    (``FragmentMeta.arrow_bytes``).  The parquet file of a fragment may be far
-    smaller.  Clustering and MERGE still size their partition counts by file
-    bytes (``choose_num_partitions``)."""
+    and the compaction planner, MERGE's rewrite bins and the health size
+    classes measure in it too (``FragmentMeta.arrow_bytes``).  The parquet
+    file of a fragment may be far smaller.  Only clustering still sizes its
+    partition count by file bytes (``choose_num_partitions``)."""
 
     target_fragment_bytes: int = TARGET_FRAGMENT_BYTES
     small_file_bytes: int = SMALL_FILE_BYTES

@@ -1030,8 +1030,9 @@ FROM scores
 def q_merge_documents(sf_dir: str):
     """MERGE INTO expressed over the documents table: a derived source of
     updates (doc_id % 7 == 0 → text uppercased) and inserts (doc_id + 1000000)
-    upserted with the engine's hash-partitioned co-group (same machinery as
-    stages/merge.py, keyed on doc_id)."""
+    upserted with a hash-partitioned co-group keyed on doc_id (the query
+    tables are plain parquet files, not fragment tables, so stages/merge.py
+    does not apply)."""
     ds = _read(sf_dir, "documents")
 
     # source: updates + inserts, derived deterministically
@@ -1058,9 +1059,9 @@ def q_merge_documents(sf_dir: str):
         })
         return pa.concat_tables([upd, ins])
 
-    # STAGED-READ pattern (same as stages/merge.py:140-150): persist the tagged
-    # source once, then read BOTH sides in ONE read_parquet — the target file
-    # lacks __side and is null-filled by the read schema.  Dataset.union (the
+    # STAGED-READ pattern: persist the tagged source once, then read BOTH
+    # sides in ONE read_parquet — the target file lacks __side and is
+    # null-filled by the read schema.  Dataset.union (the
     # round-1 construction) serializes execution and crashed the driver's
     # comparison; one read also avoids re-running the source pipeline.
     import glob

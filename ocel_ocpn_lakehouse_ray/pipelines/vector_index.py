@@ -41,6 +41,10 @@ from .similarity import (
 )
 
 N_QUERIES = 10
+# Bumped when the list files' layout changes, so a cached index written in
+# an older layout is rebuilt instead of read (it is part of the cache tag).
+# 2: list files carry no pandas schema metadata.
+INDEX_FORMAT = 2
 K = 5
 
 
@@ -187,18 +191,18 @@ def search_ivf_index(index_dir: str, q_ids: np.ndarray, q_mat: np.ndarray,
 
 def _corpus_fingerprint(sf_dir: str) -> tuple[str, int]:
     """Content identity of the embeddings corpus: (tag, total_rows).  The
-    tag folds each parquet file's path, size and mtime; rows come from
-    parquet FOOTER metadata only (no data read).  Keying the /tmp index
-    cache by this (not just the sf_dir path) means regenerated fixture
-    data at the same path triggers a rebuild instead of silently serving
-    neighbors from the stale corpus."""
+    tag folds ``INDEX_FORMAT`` and each parquet file's path, size and mtime;
+    rows come from parquet FOOTER metadata only (no data read).  Keying the
+    /tmp index cache by this (not just the sf_dir path) means regenerated
+    fixture data at the same path, or an index in an older layout, triggers
+    a rebuild instead of silently serving stale neighbors."""
     import glob
     import hashlib
 
     path = os.path.join(sf_dir, "embeddings.parquet")
     files = sorted(glob.glob(os.path.join(path, "**", "*.parquet"),
                              recursive=True)) if os.path.isdir(path) else [path]
-    h = hashlib.md5()
+    h = hashlib.md5(f"format {INDEX_FORMAT}".encode())
     rows = 0
     for f in files:
         st = os.stat(f)

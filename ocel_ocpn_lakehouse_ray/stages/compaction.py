@@ -46,6 +46,24 @@ class CompactionPlan:
     estimate: dict = field(default_factory=dict)
 
 
+def first_fit(fragments, target_bytes: int) -> list[list[FragmentMeta]]:
+    """Greedy first-fit-decreasing bin packing in Arrow bytes, each bin
+    capped at ``target_bytes`` (a fragment over the cap gets a bin of its
+    own).  Shared by compaction and the MERGE rewrite (stages/merge_cow.py)."""
+    bins: list[list[FragmentMeta]] = []
+    room: list[int] = []
+    for f in sorted(fragments, key=lambda f: f.arrow_bytes, reverse=True):
+        for i in range(len(bins)):
+            if room[i] >= f.arrow_bytes:
+                bins[i].append(f)
+                room[i] -= f.arrow_bytes
+                break
+        else:
+            bins.append([f])
+            room.append(target_bytes - f.arrow_bytes)
+    return bins
+
+
 def plan_compaction(fragments, *, target_bytes: int) -> CompactionPlan:
     """Greedy first-fit-decreasing bin packing (A14 made real), in Arrow bytes.
 
@@ -59,20 +77,8 @@ def plan_compaction(fragments, *, target_bytes: int) -> CompactionPlan:
     def candidate(f) -> bool:
         return f.arrow_bytes < target_bytes and STAMP not in f.stats
 
-    candidates = sorted(filter(candidate, fragments), key=lambda f: f.arrow_bytes,
-                        reverse=True)
     untouched = [f for f in fragments if not candidate(f)]
-    bins: list[list[FragmentMeta]] = []
-    room: list[int] = []
-    for f in candidates:
-        for i in range(len(bins)):
-            if room[i] >= f.arrow_bytes:
-                bins[i].append(f)
-                room[i] -= f.arrow_bytes
-                break
-        else:
-            bins.append([f])
-            room.append(target_bytes - f.arrow_bytes)
+    bins = first_fit(filter(candidate, fragments), target_bytes)
     untouched += [b[0] for b in bins if len(b) == 1]
     return CompactionPlan(
         bins=[b for b in bins if len(b) > 1],

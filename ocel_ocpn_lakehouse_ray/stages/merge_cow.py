@@ -1,39 +1,42 @@
-"""Copy-on-write MERGE strategy: route the (small) source to the fragments it
-touches instead of hash-shuffling the whole table.
+"""MERGE INTO's one physical plan: copy-on-write over bins of the touched
+fragments.  Only the source moves through an exchange; target rows are read
+in place by the task that rewrites their fragments.
 
-The shuffle strategy (stages/merge.py step 2-3) moves EVERY touched-fragment
-byte through the exchange twice (map partials out, reduce in) to co-locate
-target and source rows.  But the target rows are already co-located — they
-live in fragments.  At a realistic merge ratio (~10 % of rows change) the
-data that actually needs to MOVE is the source, not the table.  This
-strategy:
+  1. **Bins** (``plan_bins``): the touched fragments (stages/merge.py prunes
+     them) are packed the way compaction packs (``compaction.first_fit``: in
+     Arrow bytes, up to ``target_fragment_bytes``).  A fragment a clustering
+     stamped with its key range (``cluster_range``, stages/clustering.py) is
+     a bin of its own, so its rewrite can stay in range.
+  2. **Route** (map-only over the staged source): every source row is tagged
+     with each bin holding a fragment whose image_id range (+ key bloom) may
+     contain it — one output row per (source row, candidate bin).  A row no
+     fragment claims is a pure insert: it is hash-salted by key into one of
+     the unstamped bins, or into an insert partition when there is none.
+  3. **Bin rewrite** (one task per bin): the task reads its fragments,
+     replaces matched rows with the source version, adds its pure inserts,
+     writes the result, and journals one record whose ``frags_in`` are all
+     of the bin's fragments (the commit removes them).  It also records
+     which source keys it consumed (a ``matched/`` journal sidecar).  A
+     stamped bin keeps the rows whose cluster key is still inside its range,
+     sorted and re-stamped, and writes the movers — updates whose new
+     phash/w/h left the range — as a separate unstamped fragment, which the
+     next re-cluster routes (``write_in_range``).
+  4. **Insert pass**: the insert partitions' rows, plus the source rows a bin
+     was routed but matched in none of its fragments (``leftover/``: range or
+     bloom false positives, or keys whose match lives in another bin),
+     anti-joined against the matched sidecars (a source-sized hash join,
+     never a driver key set) and written as new fragments.
 
-  1. **Route** (map-only over the staged source): every source row is tagged
-     with the candidate fragments whose image_id range (+ key bloom) may
-     contain it — one output row per (source row, candidate fragment); rows
-     with no candidate go straight to the insert set.  Only SOURCE rows ever
-     enter a shuffle.
-  2. **Fragment rewrite** (one task per touched fragment, co-grouped by
-     fragment id): the task reads ITS fragment directly from table storage,
-     replaces matched rows with the source version, writes the new
-     fragment(s), journals lineage, and records which source keys it
-     consumed (a `matched/<fragment>.parquet` journal sidecar).  A fragment
-     a clustering stamped with its key range (``cluster_range``,
-     stages/clustering.py) stays in range: its rewrite keeps the rows whose
-     cluster key is still inside the range, sorted and re-stamped, and
-     writes the movers — updates whose new phash/w/h left the range — as a
-     separate unstamped fragment, which the next re-cluster routes.
-  3. **Insert pass**: source rows whose key was consumed by NO fragment
-     (range/bloom candidates can be false positives) are anti-joined against
-     the matched-key sidecars (a source-sized hash join, never a driver key
-     set), hash-partitioned, deduped, and written as new fragments.
+Output shape: a small upsert into a few small unstamped fragments writes one
+file holding their rows, the updates and the inserts, not one file per
+touched fragment plus insert files; parquet's dictionary encoding then also
+folds payloads repeated across those rows.
 
-I/O balance at table bytes T, source bytes s ≈ 0.1 T: shuffle strategy moves
-~4T through storage/object store (read T, partials out T, partials in T,
-write T); copy-on-write moves ~2T + 3s (read T, write T, route + co-group +
-anti-join of s).  On the bench box the single ~430 MB/s disk is the rewrite
-jobs' scaling floor (BASELINE.md), so halving bytes-through-disk is the same
-win a 4N-node store gets from 4× aggregate bandwidth.
+I/O balance at touched bytes T and source bytes s: the plan moves ~2T + 3s
+through storage (read T, write T; route, exchange and anti-join s), where a
+hash co-group of both sides would move ~4T (read T, partials out T, partials
+in T, write T).  On the bench box the single ~430 MB/s disk is the rewrite
+jobs' scaling floor (BASELINE.md), so bytes through disk are the cost.
 
 Scale notes: the routing table broadcast is (min, max, bloom_bits) per
 TOUCHED fragment — bounded by the merge's blast radius, not the table — plus
@@ -41,9 +44,9 @@ an elementary-segment interval index (build_interval_index) so each batch
 routes in O(n log F + candidates) instead of scanning every touched fragment;
 at millions of touched fragments the per-batch work stays proportional to the
 keys' actual overlap, with a linear fallback only under pathological range
-overlap (cap documented on the builder).  Duplicate source keys get a
-single arbitrary winner (same contract as the shuffle strategy, whose
-winner is concat-order-dependent); duplicate keys ACROSS table fragments
+overlap (cap documented on the builder).  A key may appear once in the
+source: every row of a key routes to the same tasks, so each task's check
+(``_check_unique_keys``) is exact.  Duplicate keys ACROSS table fragments
 (which the verify gate forbids) would be updated in every fragment that
 holds them rather than collapsed to one row.
 """
@@ -61,26 +64,27 @@ import pyarrow.parquet as pq
 from ..functions import bloom as bl
 from ..state import lineage
 from .clustering import STAMP, write_in_range
+from .compaction import first_fit
 from .shuffle import PART_COL, assign_hash_part
 
-FRAG_COL = "__fidx"   # int32 index into the sorted touched-fragment list
-INSERT_KEY = -1       # routing tag for "no candidate fragment"
+BIN_COL = "__bin"     # int32 bin index; negative = insert partition
+INS_COL = "__ins"     # true for a pure insert (no fragment claims its key)
 
 
-def _write_sidecar(root: str, job_id: str, kind: str, fragment_id: str,
+def _write_sidecar(root: str, job_id: str, kind: str, name: str,
                    tbl: pa.Table) -> None:
-    """Idempotent journal sidecar ``<kind>/<fragment_id>.parquet`` (tmp +
-    atomic rename): ``matched`` holds the source keys a fragment consumed,
-    ``leftover`` its routed-but-unmatched source rows (full payload;
-    bounded by the routing false-positive rate, not the source).  Both are
-    job payload, deleted once the MERGE commits (``lineage.drop_payload``)."""
+    """Idempotent journal sidecar ``<kind>/<name>.parquet`` (tmp + atomic
+    rename): ``matched`` holds the source keys a bin consumed, ``leftover``
+    its routed-but-unmatched source rows (full payload; bounded by the
+    routing false-positive rate, not the source).  Both are job payload,
+    deleted once the MERGE commits (``lineage.drop_payload``)."""
     import uuid
 
     from ..sources.fragments import column_compression
 
     d = os.path.join(lineage.journal_dir(root, job_id), kind)
     os.makedirs(d, exist_ok=True)
-    path = os.path.join(d, f"{fragment_id}.parquet")
+    path = os.path.join(d, f"{name}.parquet")
     if not os.path.exists(path):
         tmp = path + f".tmp.{os.getpid()}.{uuid.uuid4().hex[:6]}"
         pq.write_table(tbl, tmp, compression=column_compression(tbl.schema))
@@ -165,102 +169,125 @@ def candidate_rows(index, frags, keys_np: np.ndarray) -> dict[int, np.ndarray]:
     return out
 
 
-def _routing_ref(table, touched):
+def plan_bins(touched, target_bytes: int) -> list[list]:
+    """The rewrite bins: the unstamped touched fragments packed by
+    ``first_fit``, then each stamped one alone.  Deterministic in the
+    touched fragments and ``target_bytes``, which the job fingerprints."""
+    touched = sorted(touched, key=lambda f: f.fragment_id)
+    return (first_fit([f for f in touched if STAMP not in f.stats],
+                      target_bytes)
+            + [[f] for f in touched if STAMP in f.stats])
+
+
+def _routing_ref(table, bins):
     """Broadcast payload: per touched fragment (id, path, min, max, bloom)
-    plus the interval index built ONCE here on the driver."""
+    and its bin, the interval index built ONCE here on the driver, and the
+    unstamped bins that take pure inserts."""
     import ray
 
-    frags = []
-    for f in touched:
-        st = f.stats.get("image_id") or {}
-        bits = None
-        k = bl.NUM_HASHES
-        binfo = f.stats.get("__bloom")
-        if binfo:
-            try:
-                bits, k = bl.read_sidecar(os.path.join(table.root, binfo["path"]))
-            except (OSError, ValueError):
-                bits = None  # corrupt/missing sidecar → range-only routing
-        frags.append((f.fragment_id, f.path, st.get("min"), st.get("max"),
-                      bits, k))
-    return ray.put({"frags": frags, "index": build_interval_index(frags)})
+    frags, bin_of = [], []
+    for b, members in enumerate(bins):
+        for f in members:
+            st = f.stats.get("image_id") or {}
+            bits = None
+            k = bl.NUM_HASHES
+            binfo = f.stats.get("__bloom")
+            if binfo:
+                try:
+                    bits, k = bl.read_sidecar(os.path.join(table.root, binfo["path"]))
+                except (OSError, ValueError):
+                    bits = None  # corrupt/missing sidecar → range-only routing
+            frags.append((f.fragment_id, f.path, st.get("min"), st.get("max"),
+                          bits, k))
+            bin_of.append(b)
+    open_bins = [b for b, members in enumerate(bins)
+                 if STAMP not in members[0].stats]
+    return ray.put({"frags": frags, "index": build_interval_index(frags),
+                    "bin_of": bin_of, "open_bins": open_bins})
 
 
-def _route_batches(frags_ref, key_col: str = "image_id", *,
-                   include_unclaimed: bool = False,
-                   insert_parts: int = 1):
-    """map_batches fn: one output row per (source row, candidate fragment),
-    FRAG_COL = the fragment's index in the sorted touched list.  Key hashes
-    are computed once per batch and sliced per fragment for the bloom
-    probes.  With ``include_unclaimed``, rows with no candidate fragment
-    (pure inserts) ride the same exchange under negative partition ids
-    -1 .. -insert_parts (hash-salted so the insert write parallelizes)."""
+def _tag(tbl: pa.Table, bin_ids: np.ndarray, insert: bool) -> pa.Table:
+    return (tbl.append_column(BIN_COL, pa.array(bin_ids, pa.int32()))
+               .append_column(INS_COL, pa.array(np.full(tbl.num_rows, insert))))
+
+
+def _route_batches(payload_ref, insert_parts: int, key_col: str = "image_id"):
+    """map_batches fn: one output row per (source row, candidate bin), with
+    BIN_COL the bin's index.  Key hashes are computed once per batch and
+    sliced per fragment for the bloom probes.  A row no fragment claims goes
+    out once with INS_COL set, hash-salted by key into an unstamped bin, or
+    into insert partition -1 .. -insert_parts when there is none."""
 
     def route(batch: pa.Table) -> pa.Table:
         import ray as _r
 
-        payload = _r.get(frags_ref)
-        frags, index = payload["frags"], payload["index"]
-        if "__side" in batch.column_names:
-            batch = batch.drop_columns(["__side"])
-        out_schema = batch.schema.append(pa.field(FRAG_COL, pa.int32()))
+        payload = _r.get(payload_ref)
+        frags, bin_of, open_bins = (payload["frags"], payload["bin_of"],
+                                    payload["open_bins"])
+        out_schema = (batch.schema.append(pa.field(BIN_COL, pa.int32()))
+                      .append(pa.field(INS_COL, pa.bool_())))
         if batch.num_rows == 0:
             return out_schema.empty_table()
-        col = batch[key_col]
         n = batch.num_rows
-        keys_np = np.asarray(col.to_pylist(), dtype=object)
-        cands = candidate_rows(index, frags, keys_np)
+        keys_np = np.asarray(batch[key_col].to_pylist(), dtype=object)
         h1 = h2 = None
-        claimed = np.zeros(n, bool)
-        outs = []
-        for fidx in sorted(cands):
-            rows = cands[fidx]
+        by_bin: dict[int, np.ndarray] = {}
+        for fidx, rows in candidate_rows(payload["index"], frags, keys_np).items():
             bits, k = frags[fidx][4], frags[fidx][5]
             if bits is not None and rows.size:
                 if h1 is None:
                     h1, h2 = bl.key_hashes(keys_np)
-                hit = bl.might_contain_hashes(bits, h1[rows], h2[rows], k)
-                rows = rows[hit]
+                rows = rows[bl.might_contain_hashes(bits, h1[rows], h2[rows], k)]
             if rows.size:
-                mask = np.zeros(n, bool)
-                mask[rows] = True
-                sub = batch.filter(pa.array(mask))
-                outs.append(sub.append_column(
-                    FRAG_COL, pa.array([fidx] * sub.num_rows, pa.int32())))
-                claimed |= mask
-        if include_unclaimed:
-            rest = batch.filter(pa.array(~claimed))
-            if rest.num_rows:
-                salted = assign_hash_part(rest, key_col, insert_parts)
-                ids = -1 - salted[PART_COL].to_numpy()
-                outs.append(rest.append_column(
-                    FRAG_COL, pa.array(ids, pa.int32())))
+                by_bin.setdefault(bin_of[fidx], np.zeros(n, bool))[rows] = True
+        claimed = np.zeros(n, bool)
+        outs = []
+        for b, mask in sorted(by_bin.items()):
+            claimed |= mask
+            outs.append(_tag(batch.filter(pa.array(mask)),
+                             np.full(int(mask.sum()), b), False))
+        rest = batch.filter(pa.array(~claimed))
+        if rest.num_rows:
+            salt = assign_hash_part(rest, key_col, len(open_bins) or insert_parts
+                                    )[PART_COL].to_numpy()
+            ids = np.asarray(open_bins)[salt] if open_bins else -1 - salt
+            outs.append(_tag(rest, ids, True))
         return (pa.concat_tables(outs).combine_chunks() if outs
                 else out_schema.empty_table())
 
     return route
 
 
-def _dedup_keep_one(tbl: pa.Table, key_col: str) -> pa.Table:
-    """One winner per key (arbitrary, stable within this table's order —
-    the shuffle strategy's contract for duplicate source keys)."""
-    keys = tbl[key_col].to_pylist()
-    last = {kv: i for i, kv in enumerate(keys)}
-    if len(last) == tbl.num_rows:
-        return tbl
-    return tbl.take(pa.array(sorted(last.values())))
+def _check_unique_keys(tbl: pa.Table, key_col: str = "image_id") -> None:
+    """Raise ValueError when a key appears in ``tbl`` twice (SQL MERGE's
+    cardinality rule: at most one source row per key)."""
+    counts = pc.value_counts(tbl[key_col])
+    dup = counts.filter(pc.greater(counts.field("counts"), 1))
+    if len(dup):
+        raise ValueError(
+            f"MERGE source holds key {dup[0]['values'].as_py()!r} "
+            f"{dup[0]['counts'].as_py()} times; each key may appear once")
+
+
+def _strip_markers(tbl: pa.Table, delete_col: str | None):
+    """(rows that are not WHEN MATCHED THEN DELETE markers, without the
+    marker column; the markers' keys, or None without ``delete_col``)."""
+    if not delete_col or delete_col not in tbl.column_names:
+        return tbl, None
+    dmask = pc.fill_null(pc.cast(tbl[delete_col], pa.bool_()), False)
+    return (tbl.filter(pc.invert(dmask)).drop_columns([delete_col]),
+            tbl.filter(dmask)["image_id"].combine_chunks())
 
 
 def cow_merge(table, src_files: list[str], touched, *, job_id: str,
               target_bytes: int, failpoint: int | None = None,
-              num_insert_parts: int | None = None,
               delete_col: str | None = None,
               phases: dict | None = None) -> None:
-    """Execute the copy-on-write merge; results land in the job's lineage
-    journal (the caller aggregates records and commits, same as the shuffle
-    strategy).  Idempotent/resumable per fragment and per insert partition.
-    ``phases`` (optional dict) receives per-sub-phase seconds
-    (route+rewrite / insert) for the caller's report."""
+    """Execute the merge; results land in the job's lineage journal (the
+    caller aggregates the records and commits).  Idempotent/resumable per
+    bin and per insert partition.  ``phases`` (optional dict) receives
+    per-sub-phase seconds (route / rewrite / insert) for the caller's
+    report."""
     import time as _time
 
     import ray
@@ -268,65 +295,53 @@ def cow_merge(table, src_files: list[str], touched, *, job_id: str,
 
     _t0 = _time.time()
     root = table.root
-    touched = sorted(touched, key=lambda f: f.fragment_id)
-    frags_ref = _routing_ref(table, touched)
-    frag_ids = [f.fragment_id for f in touched]
-    frag_paths = [f.path for f in touched]
-    frag_stamps = [f.stats.get(STAMP) for f in touched]
+    bins = plan_bins(touched, target_bytes)
+    payload_ref = _routing_ref(table, bins)
 
     # p_ins must be STABLE across resume: cow-insert-NNNNN journal records
     # are keyed by hash partition (and the route itself salts by it), so
     # replaying under a different partition count would silently drop or
     # duplicate insert rows.  Persist it BEFORE routing.
     meta = lineage.load_job_meta(root, job_id) or {}
-    if num_insert_parts is not None:
-        p_ins = int(num_insert_parts)
-    elif "p_ins" in meta:
-        p_ins = int(meta["p_ins"])
-    else:
+    if "p_ins" not in meta:
         n_cpus = int(ray.cluster_resources().get("CPU", 8))
-        p_ins = max(1, min(8, n_cpus // 2))
-    if meta.get("p_ins") != p_ins:
-        meta["p_ins"] = p_ins
+        meta["p_ins"] = max(1, min(8, n_cpus // 2))
         lineage.write_job_meta(root, job_id, meta)
+    p_ins = int(meta["p_ins"])
 
     # ONE source read feeds the whole merge: claimed rows fan to their
-    # candidate fragments, unclaimed rows (pure inserts) ride the same
-    # exchange under salted negative parts — no second source scan anywhere
+    # candidate bins, pure inserts ride the same exchange — no second
+    # source scan anywhere
     routed = ray.data.read_parquet(src_files).map_batches(
-        _route_batches(frags_ref, include_unclaimed=True,
-                       insert_parts=p_ins),
-        batch_format="pyarrow")
+        _route_batches(payload_ref, p_ins), batch_format="pyarrow")
 
     def rewrite(group: pa.Table) -> None:
-        fidx = group[FRAG_COL][0].as_py()
-        fid = frag_ids[fidx]
-        pid = f"cow-frag-{fid}"
+        b = group[BIN_COL][0].as_py()
+        pid = f"cow-bin-{b:05d}"
+        members = bins[b]
 
         def kernel(write):
-            if failpoint is not None and fidx >= failpoint:
+            if failpoint is not None and b >= failpoint:
                 raise RuntimeError(f"failpoint: simulated crash at {pid}")
-            src = _dedup_keep_one(group.drop_columns([FRAG_COL]), "image_id")
-            deletes = 0
-            if delete_col and delete_col in src.column_names:
-                dmask = pc.fill_null(pc.cast(src[delete_col], pa.bool_()), False)
-                dels = src.filter(dmask)
-                src = src.filter(pc.invert(dmask)).drop_columns([delete_col])
-            else:
-                dels = None
-            # single-threaded read: this runs one-task-per-CPU; arrow's
+            _check_unique_keys(group)
+            ins = group[INS_COL].to_numpy(zero_copy_only=False)
+            g = group.drop_columns([BIN_COL, INS_COL])
+            src, dels = _strip_markers(g.filter(pa.array(~ins)), delete_col)
+            new, _ = _strip_markers(g.filter(pa.array(ins)), delete_col)
+            # single-threaded reads: this runs one-task-per-CPU; arrow's
             # default parallel read thrashes when 16 tasks each fan 8 IO
             # threads
-            tgt = pq.read_table(os.path.join(root, frag_paths[fidx]),
-                                use_threads=False, memory_map=True)
+            tgt = pa.concat_tables([
+                pq.read_table(os.path.join(root, f.path), use_threads=False,
+                              memory_map=True) for f in members])
             hit = pc.is_in(tgt["image_id"],
                            value_set=src["image_id"].combine_chunks())
-            if dels is not None and dels.num_rows:
-                hit_del = pc.is_in(tgt["image_id"],
-                                   value_set=dels["image_id"].combine_chunks())
+            deletes = 0
+            if dels is not None and len(dels):
+                hit_del = pc.is_in(tgt["image_id"], value_set=dels)
                 deletes = int(pc.sum(hit_del).as_py() or 0)
                 hit = pc.or_(hit, hit_del)
-            # matched = source keys actually present in THIS fragment (upsert
+            # matched = source keys actually present in THIS bin (upsert
             # AND delete matches — both are consumed, so the insert pass
             # skips them)
             matched = tgt.filter(hit)["image_id"]
@@ -335,38 +350,40 @@ def cow_merge(table, src_files: list[str], touched, *, job_id: str,
             applied = src.filter(applied_mask)
             # concat without combine_chunks: concat is zero-copy (chunk-list
             # append); combining would memcpy the full payload a second time
-            merged = pa.concat_tables([tgt.filter(pc.invert(hit)), applied])
-            metas = write_in_range(write, merged, frag_stamps[fidx],
+            merged = pa.concat_tables([tgt.filter(pc.invert(hit)), applied, new])
+            # a stamped bin is one fragment; an unstamped bin's first
+            # member carries no stamp
+            metas = write_in_range(write, merged, members[0].stats.get(STAMP),
                                    target_bytes=target_bytes)
-            _write_sidecar(root, job_id, "matched", fid,
+            _write_sidecar(root, job_id, "matched", pid,
                            pa.table({"image_id": matched}))
             # leftover = rows ROUTED here (range/bloom candidates) but
             # matching no target row: bloom false positives and rows whose
-            # true match lives in another candidate fragment.  The insert
-            # pass consumes them (anti-joined against ALL matched sidecars),
-            # so no stage ever rescans the source.  Written BEFORE the
-            # lineage record → a journaled fragment's leftovers always exist
-            # on resume.
+            # true match lives in another bin.  The insert pass consumes
+            # them (anti-joined against ALL matched sidecars), so no stage
+            # ever rescans the source.  Written BEFORE the lineage record →
+            # a journaled bin's leftovers always exist on resume.
             leftover = src.filter(pc.invert(applied_mask))
             if leftover.num_rows:
-                _write_sidecar(root, job_id, "leftover", fid, leftover)
+                _write_sidecar(root, job_id, "leftover", pid, leftover)
             return metas, merged.num_rows, {
-                "updates": int(applied.num_rows), "inserts": 0,
-                "deletes": deletes}
+                "updates": int(applied.num_rows),
+                "inserts": int(new.num_rows), "deletes": deletes}
 
-        lineage.load_or_run(root, job_id, pid, kernel, frags_in=[fid])
+        lineage.load_or_run(root, job_id, pid, kernel,
+                            frags_in=[f.fragment_id for f in members])
 
-    # One REAL task per touched fragment via the storage-partitioned shuffle
-    # (a Dataset.groupby().map_groups over the tiny routed source collapses
+    # One REAL task per bin via the storage-partitioned shuffle (a
+    # Dataset.groupby().map_groups over the tiny routed source collapses
     # all groups into one block → one serial task; fs map + reduce fans one
     # Ray task per partition regardless of input size).  Only SOURCE rows
-    # move; each task side-reads its fragment directly from table storage.
+    # move; each task side-reads its fragments directly from table storage.
     from .fs_shuffle import cleanup, drain, fs_reduce, fs_shuffle_map
 
     work = os.path.join(lineage.journal_dir(root, job_id), "cow-route")
     cleanup(work)
     try:
-        manifest = fs_shuffle_map(routed, part_col=FRAG_COL, work_dir=work)
+        manifest = fs_shuffle_map(routed, part_col=BIN_COL, work_dir=work)
         if phases is not None:
             phases["cow_route_map"] = round(_time.time() - _t0, 3)
             _t0 = _time.time()
@@ -375,39 +392,43 @@ def cow_merge(table, src_files: list[str], touched, *, job_id: str,
             phases["cow_rewrite"] = round(_time.time() - _t0, 3)
             _t0 = _time.time()
 
-        # ---- insert pass: unclaimed rows (negative parts of the SAME
-        # exchange) plus each fragment's routed-but-unmatched leftovers,
+        # ---- insert pass: the insert partitions (negative parts of the
+        # SAME exchange) plus each bin's routed-but-unmatched leftovers,
         # anti-joined against the matched sidecars.  Every side here is
         # bounded by insert/update/false-positive counts — the source is
         # never rescanned and no Dataset groupby runs.
         matched_files = _sidecars(root, job_id, "matched")
         leftover_files = _sidecars(root, job_id, "leftover")
-        n_frags = len(frag_ids)
 
         def write_inserts(group: pa.Table, *, part: int) -> None:
             pid = f"cow-insert-{part:05d}"
 
             def kernel(write):
-                if failpoint is not None and n_frags + part >= failpoint:
+                if failpoint is not None and len(bins) + part >= failpoint:
                     raise RuntimeError(f"failpoint: simulated crash at {pid}")
-                g = group.drop_columns([FRAG_COL])
-                if delete_col and delete_col in g.column_names:
-                    # WHEN MATCHED THEN DELETE markers never insert (an
-                    # unmatched marker is a no-op) — strip BEFORE the
-                    # leftover concat: leftover sidecars are written
-                    # marker-stripped, so both sides must share the schema
-                    dmask = pc.fill_null(pc.cast(g[delete_col], pa.bool_()),
-                                         False)
-                    g = g.filter(pc.invert(dmask)).drop_columns([delete_col])
+                # unmatched delete markers never insert (a no-op) — strip
+                # them BEFORE the leftover concat: leftover sidecars are
+                # written marker-stripped, so both sides share the schema
+                _check_unique_keys(group)
+                g, _ = _strip_markers(group.drop_columns([BIN_COL, INS_COL]),
+                                      delete_col)
                 pieces = [g]
                 # leftovers re-salt to THIS part's keys (files are FP-bounded
                 # small; read by each insert task — p_ins × tiny)
+                left = []
                 for f in leftover_files:
-                    t = pq.read_table(f, use_threads=False)
-                    if t.num_rows:
-                        sp = assign_hash_part(t, "image_id", p_ins)
-                        pieces.append(sp.filter(
-                            pc.equal(sp[PART_COL], part)).drop_columns([PART_COL]))
+                    t = assign_hash_part(pq.read_table(f, use_threads=False),
+                                         "image_id", p_ins)
+                    left.append(t.filter(pc.equal(t[PART_COL], part))
+                                 .drop_columns([PART_COL]))
+                if left:
+                    # a row routed to several bins that matched in none is
+                    # a leftover of each of them: keep one copy
+                    lt = pa.concat_tables(left)
+                    _, first = np.unique(np.asarray(
+                        lt["image_id"].to_pylist(), dtype=object),
+                        return_index=True)
+                    pieces.append(lt.take(pa.array(np.sort(first))))
                 rows = pa.concat_tables(pieces).combine_chunks()
                 if matched_files:
                     # matched keys = update count, bounded by the source —
@@ -418,20 +439,17 @@ def cow_merge(table, src_files: list[str], touched, *, job_id: str,
                          for f in matched_files])["image_id"].combine_chunks()
                     rows = rows.filter(
                         pc.invert(pc.is_in(rows["image_id"], value_set=mk)))
-                rows = _dedup_keep_one(rows, "image_id")
                 return (write(rows, target_bytes=target_bytes), rows.num_rows,
                         {"updates": 0, "inserts": int(rows.num_rows)})
 
             lineage.load_or_run(root, job_id, pid, kernel, frags_in=["source"])
 
-        # every insert partition runs even when the exchange routed it no
-        # rows (leftovers alone can populate it) — and journaling each part
-        # keeps resume exact.  An empty part takes the routed rows' schema
-        # (the staged source's, minus __side, plus FRAG_COL) so it concats
-        # with the leftovers, which keep the source's column order.
-        routed_empty = pa.schema(
-            [f for f in pq.read_schema(src_files[0]) if f.name != "__side"]
-            + [pa.field(FRAG_COL, pa.int32())]).empty_table()
+        # An empty insert partition takes the routed rows' schema (the staged
+        # source's plus BIN_COL and INS_COL) so it concats with the
+        # leftovers, which keep the source's column order.
+        routed_empty = (pq.read_schema(src_files[0])
+                        .append(pa.field(BIN_COL, pa.int32()))
+                        .append(pa.field(INS_COL, pa.bool_()))).empty_table()
 
         from .fs_shuffle import read_partition
 
@@ -442,9 +460,15 @@ def cow_merge(table, src_files: list[str], touched, *, job_id: str,
             group = read_partition(pieces) if pieces else routed_empty
             return write_inserts(group, part=k)
 
+        # the pass runs when the exchange routed rows to an insert partition
+        # or a bin left leftovers — both are fixed once every bin is
+        # journaled, so a resume decides the same.  Then every insert
+        # partition runs, even one the exchange routed no rows (leftovers
+        # alone can populate it), and journaling each keeps resume exact.
         ins_manifest = {p: v for p, v in manifest.items() if p < 0}
-        drain([insert_task.remote(k, ins_manifest.get(-1 - k, []))
-               for k in range(p_ins)])
+        if ins_manifest or leftover_files:
+            drain([insert_task.remote(k, ins_manifest.get(-1 - k, []))
+                   for k in range(p_ins)])
     finally:
         cleanup(work)
     if phases is not None:

@@ -1,13 +1,12 @@
-"""Shared shuffle machinery: hash-partition assignment, skew-aware partition
-sizing, and the partitioned-write pattern every wide maintenance job reuses.
+"""Shared shuffle machinery: hash-partition assignment and partition sizing
+for the wide maintenance jobs.
 
 The reference declares ``write.distribution-mode: hash`` but never uses it
 (`ingest/production_bootstrap.py:239-241`); here the hash partitioning is real:
 a vectorized ``__part`` column inside ``map_batches`` followed by the
 storage-partitioned exchange (``fs_shuffle.fs_shuffle_groups``) — ONE
 all-to-all exchange per job, with partition count chosen from data size + the
-reference's bucket heuristic and a pre-shuffle skew check (partial counts
-inside map_batches, then a tiny groupby — never a full second shuffle).
+reference's bucket heuristic.
 """
 
 from __future__ import annotations
@@ -70,29 +69,3 @@ def choose_num_partitions(
         # reference heuristic only binds for non-toy file counts
         p = max(p, optimal_bucket_count(num_fragments))
     return int(p)
-
-
-def partition_histogram(ds, key_col: str, num_parts: int) -> np.ndarray:
-    """Pre-shuffle skew probe: per-partition row counts via partial counts
-    inside map_batches + a tiny final combine (no data shuffle — only the
-    histogram rows move).  Drives salting decisions (A12 alarm)."""
-
-    def counts(batch: pa.Table) -> pa.Table:
-        t = assign_hash_part(batch, key_col, num_parts)
-        part = t[PART_COL].to_numpy()
-        binc = np.bincount(part, minlength=num_parts)
-        return pa.table({"part": np.arange(num_parts, dtype=np.int32), "n": binc.astype(np.int64)})
-
-    hist = np.zeros(num_parts, dtype=np.int64)
-    agg = ds.map_batches(counts, batch_format="pyarrow").groupby("part").sum("n")
-    for b in agg.iter_batches(batch_format="pyarrow"):
-        hist[b["part"].to_numpy()] += b["sum(n)"].to_numpy()
-    return hist
-
-
-def skew_ratio(hist: np.ndarray) -> float:
-    """(max - min) / avg — the reference's skew metric (A12) over partition rows."""
-    nz = hist[hist > 0]
-    if len(nz) == 0 or nz.mean() == 0:
-        return 0.0
-    return float((hist.max() - hist.min()) / hist.mean())

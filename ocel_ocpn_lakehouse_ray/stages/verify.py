@@ -7,7 +7,7 @@ join, aggregation checks) made *exact* per the north_star invariant:
   for ``png``, PSNR >= 40 dB for lossy ``fmt`` — and (c) no row gains/losses.
 
 Runs distributed: both sides are tagged and hash-partitioned on image_id
-(the same one-shuffle co-group as MERGE), and each partition compares its
+(one co-group through the exchange), and each partition compares its
 pairs vectorized + per-row decode in the worker.  The result is a tiny
 aggregate report; image bytes never reach the driver.
 """

@@ -31,17 +31,3 @@ def ray_session():
 @pytest.fixture()
 def tmp_table_root(tmp_path):
     return str(tmp_path / "table")
-
-
-@pytest.fixture()
-def pin_merge_plan(monkeypatch):
-    """``pin_merge_plan("cow" | "shuffle")`` makes MERGE's plan chooser
-    return that plan for every job started afterwards (resumed jobs keep
-    the plan recorded in their job meta)."""
-    from ocel_ocpn_lakehouse_ray.stages import merge
-
-    def pin(plan: str) -> None:
-        monkeypatch.setattr(merge, "choose_merge_plan",
-                            lambda src_bytes, touched_bytes: plan)
-
-    return pin

@@ -43,7 +43,7 @@ def test_pure_insert_merge_does_not_duplicate_table(tmp_path):
     t = t.append_arrow(gen_batch(np.arange(200), SEED), name_parts=("seed", "0"))
     # keys far outside the table's id range → min/max pruning excludes all
     src = ray.data.from_arrow(gen_batch(np.arange(20) + 5 * 10**12, SEED + 1))
-    t2, rep = run_merge(t, src, job_id="m-pure-insert", num_partitions=2)
+    t2, rep = run_merge(t, src, job_id="m-pure-insert")
     assert rep["touched_fragments"] == 0
     assert rep["inserts"] == 20 and rep["updates"] == 0
     assert t2.manifest.total_rows == 220
@@ -123,7 +123,7 @@ def test_merge_clears_partial_staged_source(tmp_path):
     )
     pq.write_table(stale, os.path.join(src_dir, "stale-partial.parquet"))
     src = ray.data.from_arrow(gen_update_batch(np.arange(10), SEED))
-    t2, rep = run_merge(t, src, job_id=job_id, num_partitions=2)
+    t2, rep = run_merge(t, src, job_id=job_id)
     meta = lineage.load_job_meta(root, job_id)
     assert meta["source_rows"] == 10  # stale file did not inflate the source
     assert rep["updates"] == 10 and rep["inserts"] == 0

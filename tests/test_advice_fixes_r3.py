@@ -49,7 +49,7 @@ def test_verify_catches_duplicated_id_with_dropped_id(tmp_path):
     root = str(tmp_path / "t")
     t = create_image_table(root, N, num_fragments=4, seed=SEED)
     t, _ = run_merge(t, merge_source_dataset(N, seed=SEED, num_blocks=2),
-                     job_id="dupdrop", num_partitions=2)
+                     job_id="dupdrop")
     rep = verify_merged_map_only(t, n=N, seed=SEED, num_blocks=4)
     assert rep["passed"] and rep["id_checksum_ok"], rep
 

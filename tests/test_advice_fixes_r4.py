@@ -31,9 +31,10 @@ from ocel_ocpn_lakehouse_ray.sources.generator import (
 )
 from ocel_ocpn_lakehouse_ray.state import lineage
 from ocel_ocpn_lakehouse_ray.state import manifest as mf
+from ocel_ocpn_lakehouse_ray.stages.clustering import run_clustering
 from ocel_ocpn_lakehouse_ray.stages.delete import run_delete
 from ocel_ocpn_lakehouse_ray.stages.export import run_export
-from ocel_ocpn_lakehouse_ray.stages.merge_cow import cow_merge
+from ocel_ocpn_lakehouse_ray.stages.merge_cow import cow_merge, plan_bins
 from ocel_ocpn_lakehouse_ray.stages.update import run_update
 from ocel_ocpn_lakehouse_ray.table import LakeTable
 
@@ -45,6 +46,9 @@ def test_cow_insert_partition_count_persisted_across_resume(tmp_path, monkeypatc
     import ray
 
     t = create_image_table(str(tmp_path / "t"), 200, num_fragments=6, seed=7)
+    # clustered: each fragment is a stamped bin of its own, so the pure
+    # inserts take the insert pass
+    t, _ = run_clustering(t, order="zorder", job_id="z")
     upd_ids = np.arange(0, 40, 3)
     new_ids = np.arange(24) + 9 * 10**11
     src = pa.concat_tables(
@@ -61,7 +65,7 @@ def test_cow_insert_partition_count_persisted_across_resume(tmp_path, monkeypatc
     monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 16.0})
     with pytest.raises(Exception):
         cow_merge(t, [src_path], touched, job_id=job, target_bytes=tgt_bytes,
-                  failpoint=len(touched) + 3)
+                  failpoint=len(plan_bins(touched, tgt_bytes)) + 3)
     meta = lineage.load_job_meta(t.root, job)
     assert meta is not None and meta["p_ins"] == 8
 
@@ -71,17 +75,15 @@ def test_cow_insert_partition_count_persisted_across_resume(tmp_path, monkeypatc
     meta = lineage.load_job_meta(t.root, job)
     assert meta["p_ins"] == 8
 
-    # every insert lands exactly once across the cow-insert records
+    # every insert lands exactly once across all records
     records = lineage.load_records(t.root, job)
+    expect = sorted(gen_batch(new_ids, 8)["image_id"].to_pylist())
     ins_ids = []
     for rec in records.values():
-        if not rec.partition_id.startswith("cow-insert-"):
-            continue
         for m in rec.out_metas():
-            ins_ids += pq.read_table(
+            ins_ids += [k for k in pq.read_table(
                 os.path.join(t.root, m.path), columns=["image_id"]
-            )["image_id"].to_pylist()
-    expect = sorted(gen_batch(new_ids, 8)["image_id"].to_pylist())
+            )["image_id"].to_pylist() if k in set(expect)]
     assert sorted(ins_ids) == expect
 
 

@@ -66,7 +66,7 @@ def test_bloom_prunes_interleaved_ranges(tmp_path):
 def test_merge_with_bloom_pruning_end_to_end(tmp_path):
     t = _interleaved_table(str(tmp_path / "t"))
     src = ray.data.from_arrow(gen_update_batch(np.arange(0, 40, 2), SEED))
-    t2, rep = run_merge(t, src, job_id="m-bloom", num_partitions=2)
+    t2, rep = run_merge(t, src, job_id="m-bloom")
     assert rep["touched_fragments"] == 1
     assert rep["untouched_fragments"] == 1
     assert rep["updates"] == 20 and rep["inserts"] == 0
@@ -81,7 +81,7 @@ def test_merge_distributed_bloom_path(tmp_path, monkeypatch):
     monkeypatch.setattr(merge, "MAX_DRIVER_KEYS", 0)
     t = _interleaved_table(str(tmp_path / "t"))
     src = ray.data.from_arrow(gen_update_batch(np.arange(0, 40, 2), SEED))
-    t2, rep = run_merge(t, src, job_id="m-bloom-dist", num_partitions=2)
+    t2, rep = run_merge(t, src, job_id="m-bloom-dist")
     assert rep["touched_fragments"] == 1
     assert rep["untouched_fragments"] == 1
     assert t2.manifest.total_rows == 200
@@ -110,7 +110,7 @@ def test_gc_tracks_bloom_sidecars(tmp_path):
     # rewrite everything (merge touching both fragments), expire, GC:
     # old fragments AND their sidecars must go together
     src = ray.data.from_arrow(gen_update_batch(np.arange(200), SEED))
-    run_merge(t.refresh(), src, job_id="m-gc", num_partitions=2)
+    run_merge(t.refresh(), src, job_id="m-gc")
     expire_and_gc(root, keep_last=1, orphan_grace_seconds=0)
     names = set(os.listdir(data))
     stems = {n.rsplit(".", 1)[0] for n in names if n.endswith(".parquet")}

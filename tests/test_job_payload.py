@@ -1,6 +1,6 @@
 """A committed job leaves no staged payload under its journal.
 
-MERGE stages its source under ``journal/<job>/source/`` and cow MERGE writes
+MERGE stages its source under ``journal/<job>/source/`` and writes
 ``matched/`` and ``leftover/`` sidecars beside it.  Once the manifest commit
 is durable these are garbage: the job drops them right after its commit,
 GC drops what a crash between the two leaves, and fsck lists it meanwhile.
@@ -58,20 +58,17 @@ def dropped(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("plan", ["cow", "shuffle"])
-def test_committed_merge_leaves_no_payload(tmp_path, pin_merge_plan, dropped,
-                                           plan):
-    pin_merge_plan(plan)
+@pytest.mark.parametrize("plan", ["cow"])
+def test_committed_merge_leaves_no_payload(tmp_path, dropped, plan):
     root = str(tmp_path / "t")
     t = create_image_table(root, N, num_fragments=6, seed=SEED)
     t2, rep = run_merge(t, merge_source_dataset(N, seed=SEED, num_blocks=2),
-                        job_id=f"m-{plan}", num_partitions=3)
+                        job_id=f"m-{plan}")
     assert rep["updates"] > 0
     # the payload existed, and the commit dropped it
     (job, names), = dropped
     assert job == f"m-{plan}" and "source" in names
-    if plan == "cow":
-        assert "matched" in names
+    assert "matched" in names
     assert _staged(root) == []
     assert lineage.payload(root, job) == []
     # meta and records stay: perfbench reads the plan from the meta
@@ -80,19 +77,17 @@ def test_committed_merge_leaves_no_payload(tmp_path, pin_merge_plan, dropped,
     assert fsck(root)["stale_payload"] == []
 
 
-@pytest.mark.parametrize("plan", ["cow", "shuffle"])
-def test_interrupted_merge_keeps_source_and_resumes(tmp_path, pin_merge_plan,
-                                                    plan):
-    pin_merge_plan(plan)
+@pytest.mark.parametrize("plan", ["cow"])
+def test_interrupted_merge_keeps_source_and_resumes(tmp_path, plan):
     src = merge_source_dataset(N, seed=SEED, num_blocks=2)
     ref, _ = run_merge(
         create_image_table(str(tmp_path / "ref"), N, num_fragments=6, seed=SEED),
-        src, job_id="m", num_partitions=3)
+        src, job_id="m")
 
     root = str(tmp_path / "t")
     t = create_image_table(root, N, num_fragments=6, seed=SEED)
     with pytest.raises(Exception, match="failpoint"):
-        run_merge(t, src, job_id="m", num_partitions=3, failpoint=1)
+        run_merge(t, src, job_id="m", failpoint=1)
     marker = os.path.join(lineage.journal_dir(root, "m"), "source", "_SUCCESS")
     assert os.path.exists(marker)
     # GC never touches the payload of a job that has not committed
@@ -100,7 +95,7 @@ def test_interrupted_merge_keeps_source_and_resumes(tmp_path, pin_merge_plan,
     assert os.path.exists(marker)
     assert fsck(root)["stale_payload"] == []
 
-    t2, _ = run_merge(t, src, job_id="m", num_partitions=3)
+    t2, _ = run_merge(t, src, job_id="m")
     se = scan_equivalence(t2.to_dataset(), ref.to_dataset(), num_parts=4)
     assert se["passed"], se
     assert _staged(root) == []
@@ -110,7 +105,7 @@ def test_gc_drops_payload_a_crash_left(tmp_path):
     root = str(tmp_path / "t")
     t = create_image_table(root, N, num_fragments=6, seed=SEED)
     t, _ = run_merge(t, merge_source_dataset(N, seed=SEED, num_blocks=2),
-                     job_id="m-crash", num_partitions=3)
+                     job_id="m-crash")
     # a crash between the commit and the drop leaves the staged source
     src_dir = os.path.join(lineage.journal_dir(root, "m-crash"), "source")
     os.makedirs(src_dir)
@@ -133,16 +128,14 @@ def test_gc_drops_payload_a_crash_left(tmp_path):
     assert lineage.load_job_meta(root, "m-crash") is not None
 
 
-def test_space_budget_after_maintenance(tmp_path, pin_merge_plan):
+def test_space_budget_after_maintenance(tmp_path):
     """Bytes under the table root stay within 5 % of the live fragments'
-    after compaction, a cow MERGE, a co-group upsert and a closing GC."""
+    after compaction, a MERGE, an upsert and a closing GC."""
     root = str(tmp_path / "t")
     t = create_image_table(root, N, num_fragments=10, seed=SEED)
     t, _ = run_compaction(t, job_id="c")
-    pin_merge_plan("cow")
     t, _ = run_merge(t, merge_source_dataset(N, seed=SEED, num_blocks=2),
                      job_id="m-cow")
-    pin_merge_plan("shuffle")
     upsert = gen_update_batch(np.arange(0, N, 10), SEED + 1)
     t, _ = run_merge(t, ray.data.from_arrow(upsert), job_id="m-cogroup")
     expire_and_gc(root, keep_last=1, orphan_grace_seconds=0)

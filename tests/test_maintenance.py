@@ -205,7 +205,7 @@ def test_merge_matches_duckdb_oracle(tmp_path):
     n = 300
     t = create_image_table(root, n, num_fragments=10, seed=SEED)
     src = merge_source_dataset(n, seed=SEED, num_blocks=4)
-    t2, rep = run_merge(t, src, job_id="m-oracle", num_partitions=4)
+    t2, rep = run_merge(t, src, job_id="m-oracle")
     assert rep["updates"] > 0 and rep["inserts"] > 0
 
     # oracle: duckdb upsert over the same deterministic inputs (FIXTURES.md F2)
@@ -263,7 +263,7 @@ def test_merge_prunes_untouched_fragments(tmp_path):
     assert len(t.fragments) == 3
     # source touches only ids 0..19 → exactly one fragment rewritten
     src = ray.data.from_arrow(gen_update_batch(np.arange(20), SEED))
-    t2, rep = run_merge(t, src, job_id="m-prune", num_partitions=2)
+    t2, rep = run_merge(t, src, job_id="m-prune")
     assert rep["touched_fragments"] == 1
     assert rep["untouched_fragments"] == 2
     # the two untouched fragments carry over into the new manifest unchanged
@@ -276,8 +276,8 @@ def test_merge_resume(tmp_path):
     t = create_image_table(root, 200, num_fragments=6, seed=SEED)
     src = merge_source_dataset(200, seed=SEED, num_blocks=2)
     with pytest.raises(Exception):
-        run_merge(t, src, job_id="m-resume", num_partitions=3, failpoint=1)
-    t2, rep = run_merge(t, src, job_id="m-resume", num_partitions=3)
+        run_merge(t, src, job_id="m-resume", failpoint=1)
+    t2, rep = run_merge(t, src, job_id="m-resume")
     ids = np.arange(200)
     m = _update_mask(ids, SEED)
     exp_full = pa.concat_tables(

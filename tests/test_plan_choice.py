@@ -1,6 +1,6 @@
-"""The engine picks every physical plan itself: state written while plans
-were still user-forced stays usable, and each plan's edge cases hold
-(projected predicates, cow's empty insert partitions, null fold keys)."""
+"""The engine picks every physical plan itself: state written under older
+plans stays usable or raises, and each plan's edge cases hold (projected
+predicates, MERGE's empty insert partitions, null fold keys)."""
 
 from __future__ import annotations
 
@@ -22,18 +22,10 @@ from ocel_ocpn_lakehouse_ray.sources.generator import (
     merge_source_dataset,
 )
 from ocel_ocpn_lakehouse_ray.stages.clustering import run_clustering
-from ocel_ocpn_lakehouse_ray.stages.merge import choose_merge_plan, run_merge
+from ocel_ocpn_lakehouse_ray.stages.merge import run_merge
 from ocel_ocpn_lakehouse_ray.stages.verify import verify_merged_map_only
 from ocel_ocpn_lakehouse_ray.state import lineage
 from ocel_ocpn_lakehouse_ray.table import IMAGE_SCHEMA, LakeTable
-
-
-def test_choose_merge_plan_byte_math():
-    # copy-on-write moves ~2T + 3s bytes, the co-group ~4T
-    assert choose_merge_plan(10, 100) == "cow"
-    assert choose_merge_plan(66, 100) == "cow"
-    assert choose_merge_plan(67, 100) == "shuffle"
-    assert choose_merge_plan(0, 0) == "shuffle"
 
 
 def test_stored_config_with_removed_strategy_fields_still_merges(tmp_path):
@@ -59,40 +51,32 @@ def test_stored_config_with_removed_strategy_fields_still_merges(tmp_path):
     assert vr["passed"] and vr["id_checksum_ok"], vr
 
 
-@pytest.mark.parametrize("plan", ["cow", "shuffle"])
-def test_resume_without_plan_in_meta_follows_journal(tmp_path, plan,
-                                                     pin_merge_plan,
-                                                     monkeypatch):
-    """A MERGE journaled before the plan was persisted in its job meta
-    resumes on the plan its records show (``cow-*`` → cow, ``part-*`` →
-    co-group), even when the chooser now picks the other plan — so one
-    commit never mixes both plans' records."""
-    other = {"cow": "shuffle", "shuffle": "cow"}[plan]
-    pin_merge_plan(plan)
-    t = create_image_table(str(tmp_path / plan), 200, num_fragments=6, seed=42)
+def test_resume_of_a_meta_without_fingerprint_raises(tmp_path, monkeypatch):
+    """A MERGE journaled before MERGE opened its jobs through
+    ``lineage.open_job`` (the hash co-group's meta: a plan, no fingerprint)
+    raises on resume instead of committing its records; the same source
+    merges under a new job id."""
+    t = create_image_table(str(tmp_path / "t"), 200, num_fragments=6, seed=42)
     src = merge_source_dataset(200, seed=42, num_blocks=2)
 
     def crash(self, **kw):
         raise RuntimeError("failpoint: crash before commit")
 
-    # crash after every partition journaled (a failpoint inside the reduce
-    # tasks races its sibling tasks, so what it journals varies run to run)
     real_commit = LakeTable.commit
     monkeypatch.setattr(LakeTable, "commit", crash)
     with pytest.raises(RuntimeError, match="failpoint"):
         run_merge(t, src, job_id="legacy")
     monkeypatch.setattr(LakeTable, "commit", real_commit)
-    prefix = "cow-" if plan == "cow" else "part-"
-    # the meta as written when the plan was forced from outside: no "plan"
     meta = lineage.load_job_meta(t.root, "legacy")
-    del meta["plan"]
-    lineage.write_job_meta(t.root, "legacy", meta)
+    lineage.write_job_meta(t.root, "legacy", {
+        "plan": "shuffle", "num_parts": 3, "touched": [],
+        "source_rows": meta["source_rows"],
+        "base_version": meta["base_version"]})
 
-    pin_merge_plan(other)
-    t2, rep = run_merge(t, src, job_id="legacy")
-    assert lineage.load_job_meta(t.root, "legacy")["plan"] == plan
-    pids = lineage.load_records(t.root, "legacy")
-    assert pids and all(p.startswith(prefix) for p in pids), sorted(pids)
+    with pytest.raises(ValueError, match="fingerprint"):
+        run_merge(t, src, job_id="legacy")
+    assert LakeTable.load(t.root).version == t.version
+    t2, rep = run_merge(t, src, job_id="legacy-rerun")
     ids = t2.to_arrow(columns=["image_id"])["image_id"].to_pylist()
     assert len(ids) == len(set(ids)) == 200 + 200 // 20
     vr = verify_merged_map_only(t2, n=200, seed=42, num_blocks=4)
@@ -115,8 +99,7 @@ def test_to_dataset_predicate_on_unprojected_column(tmp_path):
     assert both.count() == want.num_rows
 
 
-def test_cow_empty_insert_parts_take_the_staged_source_schema(tmp_path,
-                                                              pin_merge_plan):
+def test_cow_empty_insert_parts_take_the_staged_source_schema(tmp_path):
     """Fragments and source share a column order that differs from the
     table schema's.  Every source key falls inside both fragments' ranges,
     so the insert exchange routes no rows; the insert parts are fed by
@@ -135,7 +118,6 @@ def test_cow_empty_insert_parts_take_the_staged_source_schema(tmp_path,
     upd = gen_update_batch(np.arange(0, 40, 4), 42)         # 10 updates
     new = gen_batch(np.array([2, 6, 10]), 43)               # in-range inserts
     src = pa.concat_tables([upd, new]).select(order)
-    pin_merge_plan("cow")
     t2, rep = run_merge(t, ray.data.from_arrow(src), job_id="cow-order")
     assert rep["updates"] == 10 and rep["inserts"] == 3, rep
     got = t2.to_arrow()

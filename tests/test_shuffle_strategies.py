@@ -1,6 +1,6 @@
-"""The storage-partitioned exchange ("fs") and both MERGE plans (hash
-co-group and copy-on-write) must produce identical results, survive
-failpoint resume, and leave no shuffle partials behind."""
+"""The storage-partitioned exchange ("fs") and MERGE over it must produce
+the expected rows, survive failpoint resume, and leave no shuffle partials
+behind."""
 
 from __future__ import annotations
 
@@ -28,10 +28,7 @@ N = 200
 
 
 @pytest.fixture(params=["fs"])
-def strategy(request, pin_merge_plan):
-    # pin the merge plan to the hash co-group: these tests exercise the
-    # exchange, which the cow plan would bypass for merges
-    pin_merge_plan("shuffle")
+def strategy(request):
     return request.param
 
 
@@ -50,14 +47,15 @@ def test_lifecycle_equivalent_under_both_strategies(tmp_path, strategy):
     t = create_image_table(root, N, num_fragments=6, seed=SEED)
     t, _ = run_clustering(t, order="zorder", job_id=f"z-{strategy}")
     t, rep = run_merge(t, merge_source_dataset(N, seed=SEED, num_blocks=2),
-                       job_id=f"m-{strategy}", num_partitions=3)
+                       job_id=f"m-{strategy}")
     assert rep["updates"] > 0 and rep["inserts"] == N // 20
     se = scan_equivalence(t.to_dataset(),
                           ray.data.from_arrow(_expected_after_merge()),
                           num_parts=4)
     assert se["passed"], se
-    # no shuffle partials left behind under journal/
-    leftovers = glob.glob(os.path.join(root, "journal", "*", "shuffle"))
+    # no exchange partials (clustering's or MERGE's) left behind under journal/
+    leftovers = [p for d in ("shuffle", "cow-route")
+                 for p in glob.glob(os.path.join(root, "journal", "*", d))]
     assert leftovers == []
 
 
@@ -66,8 +64,8 @@ def test_merge_failpoint_resume_under_both_strategies(tmp_path, strategy):
     t = create_image_table(root, N, num_fragments=6, seed=SEED)
     src = merge_source_dataset(N, seed=SEED, num_blocks=2)
     with pytest.raises(Exception):
-        run_merge(t, src, job_id=f"mr-{strategy}", num_partitions=3, failpoint=1)
-    t2, _ = run_merge(t, src, job_id=f"mr-{strategy}", num_partitions=3)
+        run_merge(t, src, job_id=f"mr-{strategy}", failpoint=1)
+    t2, _ = run_merge(t, src, job_id=f"mr-{strategy}")
     se = scan_equivalence(t2.to_dataset(),
                           ray.data.from_arrow(_expected_after_merge()),
                           num_parts=4)
@@ -118,10 +116,10 @@ def test_fs_shuffle_file_count_bounded_at_high_partition_count(tmp_path):
     assert 0 < len(files) <= 8, f"{len(files)} partial files for 4 blocks"
 
 
-@pytest.mark.parametrize("mode", ["shuffle", "cow"])
-def test_merge_strategies_equivalent_and_resumable(tmp_path, mode, pin_merge_plan):
-    """Both MERGE physical plans (hash co-group vs copy-on-write) must yield
-    the identical post-merge table and survive a failpoint resume."""
+@pytest.mark.parametrize("mode", ["cow"])
+def test_merge_strategies_equivalent_and_resumable(tmp_path, mode):
+    """MERGE yields the expected post-merge table and survives a failpoint
+    resume."""
     import numpy as np
 
     from ocel_ocpn_lakehouse_ray.sources.generator import (
@@ -131,7 +129,6 @@ def test_merge_strategies_equivalent_and_resumable(tmp_path, mode, pin_merge_pla
     from ocel_ocpn_lakehouse_ray.stages.merge import run_merge
     from ocel_ocpn_lakehouse_ray.stages.verify import verify_merged_map_only
 
-    pin_merge_plan(mode)
     root = str(tmp_path / mode)
     t = create_image_table(root, 300, num_fragments=8, seed=42)
     with pytest.raises(RuntimeError, match="failpoint"):
@@ -147,7 +144,7 @@ def test_merge_strategies_equivalent_and_resumable(tmp_path, mode, pin_merge_pla
     assert len(ids) == len(set(ids)) == 300 + 300 // 20
 
 
-def test_cow_merge_pure_insert_keeps_fragments(tmp_path, pin_merge_plan):
+def test_cow_merge_pure_insert_keeps_fragments(tmp_path):
     """COW + fully-disjoint source: every fragment is untouched (no rewrite
     records), rows are added exactly once."""
     import numpy as np
@@ -159,12 +156,11 @@ def test_cow_merge_pure_insert_keeps_fragments(tmp_path, pin_merge_plan):
 
     import ray.data
 
-    pin_merge_plan("cow")
     root = str(tmp_path / "t")
     t = LakeTable.create(root, IMAGE_SCHEMA, TableConfig(target_fragment_bytes=1 << 20))
     t = t.append_arrow(gen_batch(np.arange(200), 42), name_parts=("seed", "0"))
     src = ray.data.from_arrow(gen_batch(np.arange(20) + 5 * 10**12, 42 + 1))
-    t2, rep = run_merge(t, src, job_id="cow-pure-insert", num_partitions=2)
+    t2, rep = run_merge(t, src, job_id="cow-pure-insert")
     assert rep["touched_fragments"] == 0
     assert rep["inserts"] == 20 and rep["updates"] == 0
     assert t2.manifest.total_rows == 220
@@ -172,13 +168,13 @@ def test_cow_merge_pure_insert_keeps_fragments(tmp_path, pin_merge_plan):
     assert len(ids) == len(set(ids)) == 220
 
 
-def test_cow_delete_markers_with_leftovers_and_inserts(tmp_path, pin_merge_plan):
+def test_cow_delete_markers_with_leftovers_and_inserts(tmp_path):
     """delete_col + the single-exchange insert pass: unmatched delete
-    markers (routed to insert partitions) are no-ops, matched markers
-    delete, leftovers (cross-claimed rows, marker-stripped sidecars) and
-    pure inserts concat under ONE schema — regression for the
-    marker-column schema mismatch between exchange rows and leftover
-    files."""
+    markers (salted into a bin with the pure inserts) are no-ops, matched
+    markers delete, and leftovers (cross-claimed rows, marker-stripped
+    sidecars) concat with the insert partitions under ONE schema —
+    regression for the marker-column schema mismatch between exchange rows
+    and leftover files."""
     import glob
     import os as _os
 
@@ -193,15 +189,17 @@ def test_cow_delete_markers_with_leftovers_and_inserts(tmp_path, pin_merge_plan)
         gen_update_batch,
     )
     from ocel_ocpn_lakehouse_ray.stages.merge import run_merge
+    from ocel_ocpn_lakehouse_ray.stages.merge_cow import plan_bins
     from ocel_ocpn_lakehouse_ray.table import IMAGE_SCHEMA, LakeTable
 
     root = str(tmp_path / "t")
     t = LakeTable.create(root, IMAGE_SCHEMA,
-                         TableConfig(target_fragment_bytes=1 << 30))
+                         TableConfig(target_fragment_bytes=1 << 19))
     t = t.append_arrow(gen_batch(np.arange(0, 100, 2), 42),
                        name_parts=("seed", "even"))
     t = t.append_arrow(gen_batch(np.arange(1, 100, 2), 42),
                        name_parts=("seed", "odd"))
+    assert len(plan_bins(t.fragments, t.config.target_fragment_bytes)) == 2
     for b in glob.glob(_os.path.join(root, "data", "*.bloom")):
         _os.remove(b)  # range-only routing → cross-claims → leftovers
 
@@ -217,7 +215,6 @@ def test_cow_delete_markers_with_leftovers_and_inserts(tmp_path, pin_merge_plan)
     src = pa.concat_tables([
         rest.append_column("__delete", pa.array([False] * rest.num_rows)),
         markers])
-    pin_merge_plan("cow")
     t2, rep = run_merge(t, ray.data.from_arrow(src),
                         job_id="cow-delmix", delete_col="__delete")
     assert rep["updates"] == 10 and rep["inserts"] == 4, rep
@@ -230,12 +227,13 @@ def test_cow_delete_markers_with_leftovers_and_inserts(tmp_path, pin_merge_plan)
     assert not (miss & set(ids))  # unmatched markers never insert
 
 
-def test_cow_cross_claimed_leftovers_no_duplicates(tmp_path, pin_merge_plan):
-    """A source row whose key RANGE matches several fragments is routed to
-    all of them but matches in only one; the others record it as a leftover.
-    The insert pass must drop those leftovers (their key is in a matched
-    sidecar) — one update, zero phantom inserts.  Bloom sidecars are removed
-    so range-only routing deterministically cross-claims every row."""
+def test_cow_cross_claimed_leftovers_no_duplicates(tmp_path):
+    """A source row whose key RANGE matches fragments in several bins is
+    routed to all of them but matches in only one; the others record it as a
+    leftover.  The insert pass must drop those leftovers (their key is in a
+    matched sidecar) — one update, zero phantom inserts.  Bloom sidecars are
+    removed so range-only routing deterministically cross-claims every row,
+    and the target keeps each fragment in a bin of its own."""
     import glob
     import os
 
@@ -250,24 +248,25 @@ def test_cow_cross_claimed_leftovers_no_duplicates(tmp_path, pin_merge_plan):
         gen_update_batch,
     )
     from ocel_ocpn_lakehouse_ray.stages.merge import run_merge
+    from ocel_ocpn_lakehouse_ray.stages.merge_cow import plan_bins
     from ocel_ocpn_lakehouse_ray.table import IMAGE_SCHEMA, LakeTable
 
     root = str(tmp_path / "t")
     t = LakeTable.create(root, IMAGE_SCHEMA,
-                         TableConfig(target_fragment_bytes=1 << 30))
+                         TableConfig(target_fragment_bytes=1 << 20))
     # two fragments with fully INTERLEAVED key ranges (evens / odds)
     t = t.append_arrow(gen_batch(np.arange(0, 200, 2), 42),
                        name_parts=("seed", "even"))
     t = t.append_arrow(gen_batch(np.arange(1, 200, 2), 42),
                        name_parts=("seed", "odd"))
     assert len(t.fragments) == 2
+    assert len(plan_bins(t.fragments, t.config.target_fragment_bytes)) == 2
     for b in glob.glob(os.path.join(root, "data", "*.bloom")):
         os.remove(b)  # force range-only routing → both fragments claimed
 
     upd = gen_update_batch(np.arange(0, 40, 2), 42)   # even keys only
     new = gen_batch(np.arange(5) + 7 * 10**12, 43)
     src = ray.data.from_arrow(pa.concat_tables([upd, new]))
-    pin_merge_plan("cow")
     t2, rep = run_merge(t, src, job_id="cow-crossclaim")
     assert rep["updates"] == 20 and rep["inserts"] == 5, rep
     ids = t2.to_arrow(columns=["image_id"])["image_id"].to_pylist()

@@ -55,11 +55,11 @@ def test_interval_index_routing_is_sublinear_in_fragment_count():
         [[0], [1], [2]]
 
 
-@pytest.mark.parametrize("mode", ["shuffle", "cow"])
-def test_merge_when_matched_then_delete(tmp_path, mode, pin_merge_plan):
+@pytest.mark.parametrize("mode", ["cow"])
+def test_merge_when_matched_then_delete(tmp_path, mode):
     """MERGE with delete markers (WHEN MATCHED THEN DELETE): matched target
     rows vanish, markers never insert, unmatched markers are no-ops —
-    identical under both physical plans, pinned by a DuckDB oracle."""
+    pinned by a DuckDB oracle."""
     import duckdb
     import pyarrow as pa
     import ray
@@ -72,7 +72,6 @@ def test_merge_when_matched_then_delete(tmp_path, mode, pin_merge_plan):
     from ocel_ocpn_lakehouse_ray.stages.merge import run_merge
     from ocel_ocpn_lakehouse_ray.stages.verify import scan_equivalence
 
-    pin_merge_plan(mode)
     n, seed = 300, 21
     t = create_image_table(str(tmp_path / mode), n, num_fragments=8, seed=seed)
     upd_ids = np.arange(0, 60, 4)            # 15 updates
@@ -190,50 +189,6 @@ def test_similar_cases_single_events_scan(monkeypatch):
     assert calls == ["events"]
     assert 0 < len(out) <= pred.TOP_K_SIMILAR  # sf0.001 has few users
     assert out["distance"].is_monotonic_increasing
-
-
-def test_merge_auto_plan_choice_and_resume_stability(tmp_path, pin_merge_plan):
-    """MERGE picks its plan from the cost model (cow when 3*src < 2*touched,
-    else the hash co-group), persists it in the job meta, and a RESUME
-    reuses the recorded plan even when the chooser would now pick the other
-    one."""
-    from ocel_ocpn_lakehouse_ray.sources.generator import (
-        create_image_table,
-        merge_source_dataset,
-    )
-    from ocel_ocpn_lakehouse_ray.state import lineage
-    from ocel_ocpn_lakehouse_ray.stages.merge import run_merge
-    from ocel_ocpn_lakehouse_ray.stages.verify import verify_merged_map_only
-
-    # unpatched: the ~5 % source vs the full touched set chooses cow by
-    # pure byte math
-    t = create_image_table(str(tmp_path / "a"), 200, num_fragments=6, seed=42)
-    t2, rep = run_merge(t, merge_source_dataset(200, seed=42, num_blocks=2),
-                        job_id="auto-s")
-    assert lineage.load_job_meta(t.root, "auto-s")["plan"] == "cow"
-    vr = verify_merged_map_only(t2, n=200, seed=42, num_blocks=4)
-    assert vr["passed"], vr
-
-    # crash under one plan, resume with the chooser flipped to the other —
-    # the resume must reuse the journaled plan (both directions)
-    for first, then in (("cow", "shuffle"), ("shuffle", "cow")):
-        job = f"auto-{first}"
-        pin_merge_plan(first)
-        t = create_image_table(str(tmp_path / first), 200, num_fragments=6,
-                               seed=42)
-        with pytest.raises(Exception, match="failpoint"):
-            run_merge(t, merge_source_dataset(200, seed=42, num_blocks=2),
-                      job_id=job, failpoint=1)
-        assert lineage.load_job_meta(t.root, job)["plan"] == first
-        pin_merge_plan(then)
-        t3, rep = run_merge(t, merge_source_dataset(200, seed=42, num_blocks=2),
-                            job_id=job)
-        assert lineage.load_job_meta(t.root, job)["plan"] == first
-        prefix = "cow-" if first == "cow" else "part-"
-        assert all(p.startswith(prefix)
-                   for p in lineage.load_records(t.root, job)), first
-        vr = verify_merged_map_only(t3, n=200, seed=42, num_blocks=4)
-        assert vr["passed"] and vr["id_checksum_ok"], vr
 
 
 def test_stream_append_exactly_once_with_resume(tmp_path):
@@ -362,7 +317,7 @@ def test_bottlenecks_matches_duckdb():
                        want["avg_duration_seconds"], atol=1e-4)
 
 
-def test_gc_sweeps_bloom_sidecars_after_dml_lifecycle(tmp_path, pin_merge_plan):
+def test_gc_sweeps_bloom_sidecars_after_dml_lifecycle(tmp_path):
     """DML + snapshot expiry + GC must leave ZERO orphans — including the
     .bloom key sidecars of fragments removed by DELETE/UPDATE/MERGE."""
     import os
@@ -382,7 +337,6 @@ def test_gc_sweeps_bloom_sidecars_after_dml_lifecycle(tmp_path, pin_merge_plan):
     from ocel_ocpn_lakehouse_ray.stages.merge import run_merge
     from ocel_ocpn_lakehouse_ray.stages.update import run_update
 
-    pin_merge_plan("shuffle")
     root = str(tmp_path / "t")
     t = create_image_table(root, 200, num_fragments=6, seed=15)
     data_dir = os.path.join(root, "data")
@@ -449,10 +403,10 @@ def test_update_expression_sets_match_duckdb(tmp_path):
         assert got[c].tolist() == oracle[c].to_pylist(), c
 
 
-@pytest.mark.parametrize("mode", ["shuffle", "cow"])
-def test_merge_pure_delete_source(tmp_path, mode, pin_merge_plan):
-    """A source containing ONLY delete markers behaves as a keyed DELETE
-    under both plans: matched rows vanish, nothing inserts."""
+@pytest.mark.parametrize("mode", ["cow"])
+def test_merge_pure_delete_source(tmp_path, mode):
+    """A source containing ONLY delete markers behaves as a keyed DELETE:
+    matched rows vanish, nothing inserts."""
     import pyarrow as pa
     import ray
 
@@ -462,7 +416,6 @@ def test_merge_pure_delete_source(tmp_path, mode, pin_merge_plan):
     )
     from ocel_ocpn_lakehouse_ray.stages.merge import run_merge
 
-    pin_merge_plan(mode)
     n, seed = 200, 33
     t = create_image_table(str(tmp_path / mode), n, num_fragments=6, seed=seed)
     del_ids = np.arange(0, 30, 3)

@@ -28,7 +28,7 @@ def merged_table(tmp_path_factory):
     root = str(tmp_path_factory.mktemp("vm") / "t")
     t = create_image_table(root, N, num_fragments=6, seed=SEED)
     t, _ = run_merge(t, merge_source_dataset(N, seed=SEED, num_blocks=2),
-                     job_id="vm-m", num_partitions=3)
+                     job_id="vm-m")
     return t
 
 
