@@ -15,6 +15,7 @@ which stays O(100 B)/fragment); the stats dict records path + parameters.
 
 from __future__ import annotations
 
+import functools
 import os
 import uuid
 
@@ -104,3 +105,17 @@ def read_sidecar(path: str) -> tuple[np.ndarray, int]:
     if m_bits < MIN_BITS or (m_bits & (m_bits - 1)) != 0:
         raise ValueError(f"corrupt bloom sidecar (bit length {m_bits}): {path}")
     return bits, k
+
+
+@functools.lru_cache(maxsize=4096)
+def _read_sidecar_at(path: str, mtime_ns: int, size: int):
+    return read_sidecar(path)
+
+
+def read_sidecar_cached(path: str) -> tuple[np.ndarray, int]:
+    """read_sidecar, memoised.  A sidecar is written once next to its
+    immutable fragment and never changed, so the cache cannot go stale; the
+    key still carries the file's mtime and size, so a table recreated at the
+    same root (same content-addressed names) is read afresh."""
+    st = os.stat(path)
+    return _read_sidecar_at(path, st.st_mtime_ns, st.st_size)

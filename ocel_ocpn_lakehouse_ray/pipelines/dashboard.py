@@ -32,7 +32,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .queries import _read
+from .queries import _read, renamed
 
 # reference cost map (executive_dashboard.py:107-110); default 5.0
 EVENT_COSTS = {
@@ -62,8 +62,8 @@ def q_executive_kpis(sf_dir: str) -> pd.DataFrame:
             "event_type": pc.fill_null(b["event_type"], _NULL_TYPE),
             "key2": pc.cast(pc.hour(b["ts"]), pa.int64()),
         })
-        g = t.group_by(["event_type", "key2"]).aggregate([([], "count_all")]) \
-            .rename_columns(["event_type", "key2", "n"])
+        g = renamed(t.group_by(["event_type", "key2"])
+                    .aggregate([([], "count_all")]), {"count_all": "n"})
         users = pc.unique(b["user_id"])
         u = pa.table({
             "event_type": pa.array([_USER_MARK] * len(users)),

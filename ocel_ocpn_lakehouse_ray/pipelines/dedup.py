@@ -67,20 +67,14 @@ def q_minhash_lsh_pairs(sf_dir: str):
         })
 
     def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        # one coarse bucket = many whole band-buckets (bucketed_groups
-        # co-locates by hash(band)); vectorized pandas groupby inside instead
-        # of one map_groups task per band key
-        out_a, out_b = [], []
-        for _, grp in g.groupby("band", sort=False):
-            ids = sorted(set(grp["doc_id"]))
-            for i, a in enumerate(ids):
-                for b in ids[i + 1:]:
-                    out_a.append(a)
-                    out_b.append(b)
-        # local dedup before the pair shuffle: the same pair surfacing from
-        # two band keys of this coarse bucket travels once, not twice
-        return pd.DataFrame({"a": pd.Series(out_a, dtype=np.int64),
-                             "b": pd.Series(out_b, dtype=np.int64)}
+        # any set of whole band-buckets: every pair of distinct docs sharing
+        # a band key is ONE self-merge on band (a < b), deduplicated here so
+        # a pair surfacing from two band keys travels once, not twice
+        d = g[["band", "doc_id"]].drop_duplicates()
+        m = d.merge(d, on="band", suffixes=("_a", "_b"))
+        m = m[m["doc_id_a"] < m["doc_id_b"]]
+        return pd.DataFrame({"a": m["doc_id_a"].to_numpy(np.int64),
+                             "b": m["doc_id_b"].to_numpy(np.int64)}
                             ).drop_duplicates(["a", "b"])
 
     pairs = bucketed_groups(

@@ -19,6 +19,7 @@ import pyarrow as pa
 from ..config import TableConfig
 from ..state import manifest as mf
 from ..table import LakeTable, schema_to_meta
+from .queries import renamed
 
 
 def _dataset_schema(ds) -> pa.Schema:
@@ -122,8 +123,8 @@ class IncrementalAggView(MaterializedView):
         keys = self.key_cols
 
         def partial(b: pa.Table) -> pa.Table:
-            t = b.select(keys).group_by(keys).aggregate([([], "count_all")])
-            return t.rename_columns(keys + ["n"])
+            return renamed(b.select(keys).group_by(keys)
+                           .aggregate([([], "count_all")]), {"count_all": "n"})
 
         out = (ds.map_batches(partial, batch_format="pyarrow")
                .groupby(keys).aggregate(Sum("n", alias_name="n")).to_pandas())

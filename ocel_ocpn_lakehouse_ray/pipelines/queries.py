@@ -6,11 +6,15 @@ exactly (driver hashes values after sorting columns by name).
 
 Reference citations are per-query in the docstrings; the Ray shapes follow
 the idioms in SURVEY.md §2's "RD mapping" column:
-- prune columns at the read (`read_parquet(columns=...)`),
+- prune columns at the read (`_read(columns=...)`, the engine reader
+  `sources.fragments.read_files`: read descriptors plus one pyarrow kernel,
+  no Ray parquet planner),
 - vectorized pyarrow.compute inside map_batches,
 - broadcast joins for dimension tables (ray.put + in-batch pa join),
 - Dataset.join for the large⋈large case,
-- groupby().aggregate / map_groups for grouped and windowed semantics.
+- groupby().aggregate, and for grouped and windowed semantics one pandas
+  kernel over whole key groups under the fold budget (`bucketed_groups`:
+  on the driver while the input is small, else per hash bucket).
 """
 
 from __future__ import annotations
@@ -38,30 +42,22 @@ def _pq(sf_dir: str, name: str) -> str:
 
 
 def _read(sf_dir: str, name: str, columns=None, **kw):
-    """Read one table, minus its schema metadata: a pandas-written file's
-    ``b'pandas'`` entry is a dict once parsed, so Ray's block concat cannot
-    hash the schemas and logs a warning every time."""
-    import pyarrow.parquet as pq
-    import ray.data
+    """One query table through the engine reader (``read_files``: no Ray
+    parquet planner, schema metadata dropped); ``kw`` passes on."""
+    from ..sources.fragments import read_files
 
-    path = _pq(sf_dir, name)
-    schema = pq.read_schema(path).remove_metadata()
-    if columns is not None:
-        schema = pa.schema([schema.field(c) for c in columns])
-    return ray.data.read_parquet(path, columns=columns, schema=schema, **kw)
+    return read_files([_pq(sf_dir, name)], columns=columns, **kw)
 
 
 def _read_wide(sf_dir: str, name: str, columns=None, **kw):
     """_read for CPU-HEAVY per-row stages (shingling, minhash, matmul): a
     single-file table otherwise becomes ONE read block → one task, so the
     map stage runs serial regardless of cluster size (parallelism is capped
-    by block count — split the read up front)."""
+    by block count — split the read up front into 2 × CPU blocks)."""
     import ray
 
-    nb = kw.pop("override_num_blocks", None) or 2 * int(
-        ray.cluster_resources().get("CPU", 8)
-    )
-    return _read(sf_dir, name, columns=columns, override_num_blocks=nb, **kw)
+    nb = 2 * int(ray.cluster_resources().get("CPU", 8))
+    return _read(sf_dir, name, columns=columns, num_blocks=nb, **kw)
 
 
 def _small_arrow(sf_dir: str, name: str, columns=None) -> pa.Table:
@@ -139,25 +135,26 @@ def broadcast_join(ds, small: pa.Table, keys, right_keys=None):
 
 
 
+def renamed(t: pa.Table, mapping: dict) -> pa.Table:
+    """Rename columns BY NAME (a ``group_by().aggregate`` output puts its
+    keys first in pyarrow 16 and last in older versions, so a positional
+    rename would depend on the version)."""
+    return t.rename_columns([mapping.get(c, c) for c in t.column_names])
+
+
 def _rename(ds, mapping: dict):
     """Column rename as a zero-copy Arrow batch op (Dataset.rename_columns is
     unreliable across block formats in Ray 2.49)."""
-    def fn(b: pa.Table) -> pa.Table:
-        return b.rename_columns([mapping.get(c, c) for c in b.column_names])
-    return ds.map_batches(fn, batch_format="pyarrow")
+    return ds.map_batches(lambda b: renamed(b, mapping), batch_format="pyarrow")
 
 
-
-def bucketed_groups(ds, key_col: str, fn, *, buckets: int = 32):
-    """Per-key grouped transform without thousands of tiny map_groups calls:
-    hash keys into ``buckets`` coarse groups (one shuffle, same as groupby),
-    then run a VECTORIZED pandas groupby inside each bucket.  Orders of
-    magnitude fewer task/pandas invocations than groupby(key).map_groups when
-    the key cardinality is high (SURVEY.md §4 skew row: same co-location
-    guarantee — every row of a key lands in exactly one bucket).  Null keys
-    hash as 0 / "" and so share one fixed bucket."""
-    import ray.data  # noqa: F401
-
+def _hash_buckets(ds, key_col: str, fn, buckets: int = 32):
+    """The fallback of ``bounded_fold``: hash keys into ``buckets`` coarse
+    groups (one shuffle, same as groupby), then run the VECTORIZED pandas
+    kernel inside each bucket — orders of magnitude fewer task/pandas
+    invocations than groupby(key).map_groups when the key cardinality is
+    high (SURVEY.md §4 skew row: every row of a key lands in exactly one
+    bucket).  Null keys hash as 0 / "" and so share one fixed bucket."""
     def assign(b: pa.Table) -> pa.Table:
         from ..functions.hashing import hash_strings, splitmix64
 
@@ -177,21 +174,39 @@ def bucketed_groups(ds, key_col: str, fn, *, buckets: int = 32):
 
 def bounded_fold(ds, keys: list[str], fold):
     """THE budget-guarded fold.  ``fold`` is a pandas kernel that is correct
-    on any set of whole key groups (a groupby-aggregate, a drop_duplicates).
-    ``ds`` is materialised once, so its exact row count comes free from the
-    block metadata and upstream never runs twice: up to FOLD_BUDGET rows the
-    kernel runs once on the driver over the concatenated blocks (no ~1 s
-    AllToAll for a few thousand partial rows) and returns a DataFrame; past
-    it the same kernel runs per hash bucket of ``keys[0]``
-    (``bucketed_groups``: every row of a composite key shares its first
-    key's bucket) and a Dataset is returned.  None for empty input."""
+    on any set of whole key groups (a groupby-aggregate, a drop_duplicates,
+    a per-key transform).  ``ds`` is materialised once, so its exact row
+    count and bytes come free from the block metadata and upstream never
+    runs twice: up to FOLD_BUDGET rows and BROADCAST_BYTES (the engine's
+    "fits in one heap" bound; grouped inputs can carry payloads such as
+    embeddings) the kernel runs once on the driver over the concatenated
+    blocks (no ~1 s AllToAll for a few thousand rows) and returns a
+    DataFrame; past either bound the same kernel runs per hash bucket of
+    ``keys[0]`` (``_hash_buckets``: every row of a composite key shares its
+    first key's bucket) and a Dataset is returned.  None for empty
+    input."""
     ds = ds.materialize()
     n = ds.count()
     if n == 0:
         return None
-    if n > FOLD_BUDGET:
-        return bucketed_groups(ds, keys[0], fold)
+    if n > FOLD_BUDGET or ds.size_bytes() > BROADCAST_BYTES:
+        return _hash_buckets(ds, keys[0], fold)
     return fold(pd.concat(ds.iter_batches(batch_format="pandas", batch_size=None)))
+
+
+def bucketed_groups(ds, key_col: str, fn):
+    """Per-key grouped transform as a Dataset: ``fn`` (pandas, correct on
+    any set of whole ``key_col`` groups) runs under ``bounded_fold``'s
+    budget — once on the driver over every row while the input is small,
+    else per hash bucket.  Empty input takes the buckets, which give the
+    empty dataset without calling ``fn``."""
+    import ray.data
+
+    ds = ds.materialize()  # upstream runs once, whichever path follows
+    out = bounded_fold(ds, [key_col], fn)
+    if out is None:
+        return _hash_buckets(ds, key_col, fn)
+    return ray.data.from_pandas(out) if isinstance(out, pd.DataFrame) else out
 
 
 # ------------------------------------------------------------------ queries
@@ -246,10 +261,10 @@ def q_pricing_summary(sf_dir: str):
             "base_c": pc.cast(pc.round(pc.multiply(b["l_extendedprice"], pa.scalar(100.0))), i64),
             "disc_c4": pc.cast(pc.round(pc.multiply(disc, pa.scalar(10000.0))), i64),
         })
-        return t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
+        return renamed(t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
             [("qty_i", "sum"), ("base_c", "sum"), ("disc_c4", "sum"), ([], "count_all")]
-        ).rename_columns(["l_returnflag", "l_linestatus",
-                          "qty_i", "base_c", "disc_c4", "n"])
+        ), {"qty_i_sum": "qty_i", "base_c_sum": "base_c",
+            "disc_c4_sum": "disc_c4", "count_all": "n"})
 
     # partials are <= 6 rows per block → budget-guarded driver fold
     # (fold_partials) instead of a ~1 s Aggregate exchange
@@ -341,9 +356,9 @@ def q_orders_by_segment(sf_dir: str):
             "price_c": pc.cast(pc.round(pc.multiply(b["o_totalprice"], pa.scalar(100.0))),
                                pa.int64()),
         })
-        return t.group_by("c_mktsegment").aggregate(
+        return renamed(t.group_by("c_mktsegment").aggregate(
             [("price_c", "sum"), ([], "count_all")]
-        ).rename_columns(["c_mktsegment", "price_c", "order_count"])
+        ), {"price_c_sum": "price_c", "count_all": "order_count"})
 
     b = fold_partials(joined.map_batches(cents, batch_format="pyarrow"),
                       ["c_mktsegment"], ["price_c", "order_count"])
@@ -390,8 +405,8 @@ def q_revenue_by_nation(sf_dir: str):
             "n_name": b["n_name"],
             "rev_c4": pc.cast(pc.round(pc.multiply(r, pa.scalar(10000.0))), pa.int64()),
         })
-        part = t.group_by("n_name").aggregate([("rev_c4", "sum")])
-        return part.rename_columns(["n_name", "rev_c4"])
+        return renamed(t.group_by("n_name").aggregate([("rev_c4", "sum")]),
+                       {"rev_c4_sum": "rev_c4"})
 
     agg = fold_partials(joined.map_batches(rev, batch_format="pyarrow"),
                         ["n_name"], ["rev_c4"])
@@ -565,11 +580,11 @@ def q_sessionize(sf_dir: str):
             "value_c": pc.cast(pc.round(pc.multiply(b["value"], pa.scalar(100.0))),
                                pa.int64()),
         })
-        return t.group_by("user_id").aggregate(
+        return renamed(t.group_by("user_id").aggregate(
             [("ts", "min"), ("ts", "max"), ("value_c", "sum"),
              ([], "count_all")]
-        ).rename_columns(["user_id", "first_ts", "last_ts", "value_c",
-                          "n_events"])
+        ), {"ts_min": "first_ts", "ts_max": "last_ts",
+            "value_c_sum": "value_c", "count_all": "n_events"})
 
     b = fold_partials(
         ds.map_batches(cents, batch_format="pyarrow"), ["user_id"],
@@ -1060,7 +1075,7 @@ def q_merge_documents(sf_dir: str):
         return pa.concat_tables([upd, ins])
 
     # STAGED-READ pattern: persist the tagged source once, then read BOTH
-    # sides in ONE read_parquet — the target file lacks __side and is
+    # sides in ONE read — the target file lacks __side and is
     # null-filled by the read schema.  Dataset.union (the
     # round-1 construction) serializes execution and crashed the driver's
     # comparison; one read also avoids re-running the source pipeline.
@@ -1069,8 +1084,8 @@ def q_merge_documents(sf_dir: str):
     import tempfile
 
     import pyarrow.parquet as pq
-    import ray.data
 
+    from ..sources.fragments import read_files
     from ..stages.shuffle import PART_COL, assign_hash_part
 
     P = 4
@@ -1082,10 +1097,10 @@ def q_merge_documents(sf_dir: str):
 
     ds.map_batches(tag_src, batch_format="pyarrow").write_parquet(src_dir)
     src_files = sorted(glob.glob(os.path.join(src_dir, "*.parquet")))
-    read_schema = pq.read_schema(_pq(sf_dir, "documents")).remove_metadata() \
-        .append(pa.field("__side", pa.int8()))  # no b'pandas' dict: see _read
-    both = ray.data.read_parquet([_pq(sf_dir, "documents")] + src_files,
-                                 schema=read_schema)
+    read_schema = pq.read_schema(_pq(sf_dir, "documents")) \
+        .append(pa.field("__side", pa.int8()))
+    both = read_files([_pq(sf_dir, "documents")] + src_files,
+                      schema=read_schema)
 
     def assign(b: pa.Table) -> pa.Table:
         side = pc.cast(pc.fill_null(b["__side"], 0), pa.int8())

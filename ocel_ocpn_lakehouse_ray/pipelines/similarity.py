@@ -216,16 +216,20 @@ def q_embedding_dedup(sf_dir: str, *, bands: int = DEDUP_BANDS,
         return pa.concat_tables(out)
 
     def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        # coarse bucket = many whole LSH buckets (bucketed_groups co-locates
-        # by hash(band)); vectorized per-band cosine inside — no per-key task
+        # any set of whole LSH buckets: ONE normalized matrix for all its
+        # rows, indexed per band (rows sorted by band, then vec_id; a
+        # vec_id repeated inside a band is kept once)
+        g = g.sort_values(["band", "vec_id"], kind="stable")
+        g = g[~g.duplicated(["band", "vec_id"])]
+        all_ids, mat = _matrix(pa.Table.from_pandas(
+            g[["vec_id", "embedding"]], preserve_index=False))
+        band = g["band"].to_numpy()
+        cuts = np.flatnonzero(band[1:] != band[:-1]) + 1
         outs = []
-        for _, grp in g.groupby("band", sort=False):
-            grp = grp.drop_duplicates("vec_id").sort_values("vec_id")
-            if len(grp) < 2:
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(band)]):
+            if hi - lo < 2:
                 continue
-            tbl = pa.Table.from_pandas(grp[["vec_id", "embedding"]],
-                                       preserve_index=False)
-            ids, m = _matrix(tbl)
+            ids, m = all_ids[lo:hi], mat[lo:hi]
             sims = m @ m.T
             ai, bi = np.nonzero(
                 (np.round(sims, 6) >= threshold) & (ids[:, None] < ids[None, :])

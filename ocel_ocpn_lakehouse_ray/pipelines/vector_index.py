@@ -116,7 +116,8 @@ def search_ivf_index(index_dir: str, q_ids: np.ndarray, q_mat: np.ndarray,
     (results, stats) where stats reports the read pruning actually
     achieved (files/rows read vs total)."""
     import ray
-    import ray.data
+
+    from ..sources.fragments import read_files
 
     with open(os.path.join(index_dir, "_INDEX.json")) as f:
         manifest = json.load(f)
@@ -179,7 +180,7 @@ def search_ivf_index(index_dir: str, q_ids: np.ndarray, q_mat: np.ndarray,
         return (batch.drop_columns(["path"])
                 .append_column("list_id", pa.array(lids, pa.int64())))
 
-    ds = ray.data.read_parquet(files, include_paths=True).map_batches(
+    ds = read_files(files, include_paths=True).map_batches(
         tag, batch_format="pyarrow")
     partials = ds.map_batches(score, batch_format="pyarrow").to_pandas()
     partials = partials.sort_values(["query_id", "sim", "neighbor_id"],

@@ -9,6 +9,10 @@ makes predicate pruning real (SURVEY.md §1.4).
 Writes are idempotent: tmp file + atomic rename, and maintenance paths use
 content-addressed names (job_id, partition_id, seq) so a Ray-retried task
 recreates the same file name and skips the write (SURVEY.md §4 stragglers row).
+
+Every engine read goes through ``read_files``: the driver plans read
+descriptors from the paths it already has (no Ray parquet planner, no
+sampling), and one pyarrow kernel reads them inside Ray tasks.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import json
 import os
 import uuid
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -88,8 +93,8 @@ TARGET_ROW_GROUP_BYTES = 4 << 20
 def _row_group_size(tbl: pa.Table) -> int:
     """Rows per parquet row group targeting ~TARGET_ROW_GROUP_BYTES.
 
-    Row groups are the scan-split unit: a reader (Ray's parquet datasource
-    included) can parallelize WITHIN a fragment only at row-group
+    Row groups are the scan-split unit: a reader (``read_files`` included)
+    splits WITHIN a fragment without re-reading bytes only at row-group
     boundaries.  One giant row group per fragment caps a full-table scan at
     one task per fragment — with image payloads that is seconds of decode
     per task, and the straggler tail eats scaling at high parallelism.
@@ -216,3 +221,105 @@ def write_batch_as_fragments(batch: pa.Table, *, root: str, target_bytes: int) -
     (`ingest/daft_batch_ocel_loader.py:151-165`): fragments land in data/ but
     are invisible until the manifest commit."""
     return metas_to_batch(write_table_as_fragments(root, batch, target_bytes=target_bytes))
+
+
+# ------------------------------------------------------------------ reader
+
+
+def _split_file(path: str, rg_rows: list[int], n: int) -> list[dict]:
+    """``n`` contiguous pieces of one file: whole row groups when it has at
+    least ``n`` of them, else equal row ranges over the groups they span."""
+    if n <= 1:
+        return [{"path": path, "row_groups": None, "offset": None, "length": None}]
+    if len(rg_rows) >= n:
+        return [{"path": path, "row_groups": [int(i) for i in chunk],
+                 "offset": None, "length": None}
+                for chunk in np.array_split(np.arange(len(rg_rows)), n)]
+    starts = np.concatenate([[0], np.cumsum(rg_rows)])
+    bounds = np.linspace(0, starts[-1], n + 1).astype(np.int64)
+    out = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        first = int(np.searchsorted(starts, lo, side="right")) - 1
+        last = int(np.searchsorted(starts, hi, side="left"))
+        out.append({"path": path, "row_groups": list(range(first, last)),
+                    "offset": int(lo - starts[first]), "length": int(hi - lo)})
+    return out
+
+
+def _plan_pieces(paths: list[str], num_blocks: int | None) -> list[dict]:
+    """One read descriptor per file, unless more blocks than files are
+    asked for: then each file gets pieces in proportion to its rows, read
+    from the footers (the only I/O the driver does)."""
+    if num_blocks is None or num_blocks <= len(paths):
+        return [_split_file(p, [], 1)[0] for p in paths]
+    metas = [pq.read_metadata(p) for p in paths]
+    per_piece = max(1, -(-sum(m.num_rows for m in metas) // num_blocks))
+    pieces = []
+    for p, m in zip(paths, metas):
+        n = min(m.num_rows, -(-m.num_rows // per_piece))
+        pieces += _split_file(
+            p, [m.row_group(i).num_rows for i in range(m.num_row_groups)], n)
+    return pieces
+
+
+def _read_pieces(batch: pa.Table, *, schema: pa.Schema, columns, filter,
+                 include_paths: bool) -> pa.Table:
+    """The read kernel (a stateless task per block of descriptors): pyarrow
+    reads each piece single-threaded under the explicit schema, so a column
+    a file lacks reads as nulls, and the filter prunes row groups by their
+    statistics.  A row range is sliced before it is filtered."""
+    import pyarrow.dataset as pads
+    import pyarrow.fs as pafs
+
+    fmt, fs = pads.ParquetFileFormat(), pafs.LocalFileSystem()
+    out = []
+    for d in batch.to_pylist():
+        frag = fmt.make_fragment(d["path"], filesystem=fs,
+                                 row_groups=d["row_groups"])
+        if d["length"] is None:
+            t = frag.to_table(schema=schema, columns=columns, filter=filter,
+                              use_threads=False)
+        else:
+            t = frag.to_table(schema=schema, use_threads=False).slice(
+                d["offset"], d["length"])
+            if filter is not None:
+                t = t.filter(filter)
+            if columns is not None:
+                t = t.select(columns)
+        if include_paths:
+            t = t.append_column("path", pa.array([d["path"]] * t.num_rows,
+                                                 pa.string()))
+        out.append(t)
+    return pa.concat_tables(out)
+
+
+def read_files(paths: list[str], *, columns: list[str] | None = None,
+               schema: pa.Schema | None = None, filter=None,
+               num_blocks: int | None = None, include_paths: bool = False):
+    """THE engine read: parquet files → ``ray.data.Dataset``.
+
+    The driver turns ``paths`` into read descriptors (a ``from_items``
+    dataset, one block per file or ``num_blocks`` blocks, see
+    ``_plan_pieces``) and ``_read_pieces`` reads them inside tasks, so the
+    data never passes through the driver and Ray's parquet planner (schema
+    unification, size sampling) never runs — at these file sizes its
+    per-call planning cost more than the read.  ``schema`` defaults to the
+    first file's.  Schema metadata is always dropped: a pandas-written
+    file's ``b'pandas'`` entry is a dict once parsed, so Ray's block concat
+    could not hash the schemas and would warn on every read.  ``filter`` is
+    a ``pyarrow.compute`` expression; it needs no projected column.
+    ``include_paths`` adds a ``path`` column."""
+    import ray.data
+
+    paths = [os.path.abspath(p) for p in paths]
+    schema = (schema or pq.read_schema(paths[0])).remove_metadata()
+    if not paths:
+        tbl = schema.empty_table()
+        return ray.data.from_arrow(tbl.select(columns) if columns else tbl)
+    pieces = _plan_pieces(paths, num_blocks)
+    return ray.data.from_items(
+        pieces, override_num_blocks=min(num_blocks or len(pieces), len(pieces))
+    ).map_batches(
+        _read_pieces, batch_format="pyarrow",
+        fn_kwargs=dict(schema=schema, columns=columns, filter=filter,
+                       include_paths=include_paths))

@@ -92,19 +92,28 @@ def _salted(batch: pa.Table, order: str) -> np.ndarray:
     return salted_key(key, salt)
 
 
+def _content_key(f) -> str:
+    """A fragment's identity by content, not by file name (appends get
+    random names): its ``image_id`` range and row count."""
+    st = f.stats.get("image_id") or {}
+    return f"{st.get('min')}|{st.get('max')}|{f.rows}"
+
+
 def sample_boundaries(table, order: str, num_parts: int, sample_frac: float = None) -> list[int]:
-    """Deterministic-enough boundary estimation: sample salted keys, take
-    evenly spaced quantiles.  Only the (phash, w, h, image_id) columns are
-    read — never the image payload — and when a small row fraction suffices,
-    only a stratified subset of FRAGMENTS is opened at all (every k-th by
-    sorted id: cheap, unbiased enough for range boundaries; persisted to the
-    job journal so resume never depends on re-sampling)."""
+    """Deterministic boundary estimation: sample salted keys, take evenly
+    spaced quantiles.  Only the (phash, w, h, image_id) columns are read —
+    never the image payload — and when a small row fraction suffices, only
+    a stratified subset of FRAGMENTS is opened at all (every k-th in content
+    order: cheap, unbiased enough for range boundaries; persisted to the job
+    journal so resume never depends on re-sampling).  Fragments are ordered,
+    and their row samples seeded, by ``_content_key``, so the same rows give
+    the same boundaries whatever the files are called."""
     total = table.manifest.total_rows
     if total == 0 or not table.fragments or num_parts <= 1:
         return []
     target_sample = min(max(20 * num_parts, 2000), 200_000)
     frac = sample_frac if sample_frac is not None else min(1.0, target_sample / max(1, total))
-    frags = sorted(table.fragments, key=lambda f: f.fragment_id)
+    frags = sorted(table.fragments, key=_content_key)
     if frac < 0.25 and len(frags) >= 8:
         step = max(1, int(0.25 / max(frac, 1e-9)))
         subset = frags[:: min(step, max(1, len(frags) // 4))]
@@ -114,22 +123,21 @@ def sample_boundaries(table, order: str, num_parts: int, sample_frac: float = No
     # Plain ray.remote tasks instead of a Dataset: the sample is tiny
     # (<= 200k key rows) and the streaming executor's planning/startup was
     # the cluster job's dominant FIXED cost (~0.3-0.5 s), which caps its
-    # measured scaling efficiency.  Deterministic per fragment path.
+    # measured scaling efficiency.  Deterministic per fragment content.
     import zlib
 
     import ray
 
     @ray.remote(num_cpus=1)
-    def sample_keys(paths: list[str], frc: float) -> np.ndarray:
+    def sample_keys(items: list[tuple[str, str]], frc: float) -> np.ndarray:
         import pyarrow.parquet as pq
 
         out = []
-        for p in paths:
+        for p, ckey in items:
             t = pq.read_table(p, columns=["phash", "w", "h", "image_id"],
                               use_threads=False)
             if frc < 1.0 and t.num_rows > 1:
-                rng = np.random.default_rng(
-                    42 ^ zlib.crc32(os.path.basename(p).encode()))
+                rng = np.random.default_rng(42 ^ zlib.crc32(ckey.encode()))
                 take = max(1, int(t.num_rows * frc))
                 t = t.take(np.sort(rng.choice(t.num_rows, take, replace=False)))
             if t.num_rows:
@@ -137,10 +145,10 @@ def sample_boundaries(table, order: str, num_parts: int, sample_frac: float = No
         return (np.concatenate(out) if out
                 else np.empty(0, np.uint64))
 
-    paths = table.fragment_paths(subset)
-    ntasks = max(1, min(len(paths),
+    items = list(zip(table.fragment_paths(subset), map(_content_key, subset)))
+    ntasks = max(1, min(len(items),
                         int(ray.cluster_resources().get("CPU", 8))))
-    chunks = [paths[i::ntasks] for i in range(ntasks)]
+    chunks = [items[i::ntasks] for i in range(ntasks)]
     keys = ray.get([sample_keys.remote(c, frac) for c in chunks if c])
     allk = (np.sort(np.concatenate(keys))
             if any(len(k) for k in keys) else np.array([], np.uint64))
@@ -316,17 +324,16 @@ def run_clustering(table, *, order: str | None = None, job_id: str | None = None
                     .append_column(PART_COL, pa.array(part, pa.int32()))
 
     # read with enough blocks that the shuffle's map side saturates the
-    # cluster (small-file coalescing would otherwise cap it at ~2 blocks/GB)
+    # cluster (one block per fragment would cap it at the fragment count)
     import ray
-    import ray.data
 
+    from ..sources.fragments import read_files
     from .fs_shuffle import cleanup, fs_shuffle_groups
 
     if inputs:
         nblocks = max(P, 2 * int(ray.cluster_resources().get("CPU", 8)))
-        ds = ray.data.read_parquet(table.fragment_paths(inputs),
-                                   schema=table.schema,
-                                   override_num_blocks=nblocks)
+        ds = read_files(table.fragment_paths(inputs), schema=table.schema,
+                        num_blocks=nblocks)
         assigned = ds.map_batches(assign, batch_format="pyarrow")
         # partials are rebuilt from scratch on resume (cheap map-only pass);
         # COMPLETED ranges still short-circuit via their lineage records

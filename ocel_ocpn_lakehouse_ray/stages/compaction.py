@@ -91,8 +91,10 @@ def _compact_bin(batch: pa.Table, *, root: str, job_id: str, target_bytes: int,
                  failpoint=None) -> pa.Table:
     """map_batches stage (stateless TASK) over the bin-descriptor dataset:
     one row = one bin, run through the journal protocol (state/lineage.py).
-    The kernel reads the bin's fragments directly with pyarrow (the
-    task-local analog of a custom datasource read) and concatenates them."""
+    The kernel reads the bin's fragments directly with pyarrow — the same
+    descriptor-plus-kernel shape as the engine reader
+    (``sources.fragments.read_files``), kept inline because the read and
+    the write belong to one journaled partition — and concatenates them."""
     for row in batch.to_pylist():
         bin_id = row["bin_id"]
 

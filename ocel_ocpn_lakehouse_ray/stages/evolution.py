@@ -35,7 +35,7 @@ def evolve_schema(table: LakeTable, new_fields: list[pa.Field]) -> LakeTable:
     meta = schema_to_meta(evolved)
     meta_to_schema(meta)
     config = dict(table.manifest.config)
-    config["schema_evolved"] = True  # scan layer switches to read-then-project
+    config["schema_evolved"] = True  # scans then skip the row-level filter
     return table.commit(
         operation="evolve-schema",
         add=[],

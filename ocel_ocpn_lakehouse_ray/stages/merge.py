@@ -70,7 +70,7 @@ def prune_touched_fragments(fragments, source_keys: np.ndarray, root: str | None
         binfo = f.stats.get("__bloom")
         if root is not None and binfo:
             try:
-                bits, k = bl.read_sidecar(os.path.join(root, binfo["path"]))
+                bits, k = bl.read_sidecar_cached(os.path.join(root, binfo["path"]))
             except (OSError, ValueError):
                 touched.append(f)  # sidecar missing/corrupt → conservative
                 continue
@@ -90,9 +90,9 @@ def prune_touched_distributed(table, src_files, *, batch_size: int = 65536):
     each bloom; the driver unions only fragment-id hits.  Fragments without
     a bloom sidecar are conservatively touched."""
     import ray
-    import ray.data
 
     from ..functions import bloom as bl
+    from ..sources.fragments import read_files
 
     blooms, touched = {}, set()
     for f in table.fragments:
@@ -102,7 +102,7 @@ def prune_touched_distributed(table, src_files, *, batch_size: int = 65536):
             touched.add(f.fragment_id)
             continue
         try:
-            bits, k = bl.read_sidecar(os.path.join(table.root, binfo["path"]))
+            bits, k = bl.read_sidecar_cached(os.path.join(table.root, binfo["path"]))
         except (OSError, ValueError):
             touched.add(f.fragment_id)
             continue
@@ -128,7 +128,7 @@ def prune_touched_distributed(table, src_files, *, batch_size: int = 65536):
                 hits.append(fid)
         return pa.table({"fragment_id": pa.array(hits, pa.string())})
 
-    ds = ray.data.read_parquet(src_files, columns=["image_id"])
+    ds = read_files(src_files, columns=["image_id"])
     hit_ds = ds.map_batches(probe, batch_format="pyarrow", batch_size=batch_size)
     for b in hit_ds.iter_batches(batch_format="pyarrow"):
         touched.update(b["fragment_id"].to_pylist())

@@ -291,7 +291,8 @@ def cow_merge(table, src_files: list[str], touched, *, job_id: str,
     import time as _time
 
     import ray
-    import ray.data
+
+    from ..sources.fragments import read_files
 
     _t0 = _time.time()
     root = table.root
@@ -312,7 +313,7 @@ def cow_merge(table, src_files: list[str], touched, *, job_id: str,
     # ONE source read feeds the whole merge: claimed rows fan to their
     # candidate bins, pure inserts ride the same exchange — no second
     # source scan anywhere
-    routed = ray.data.read_parquet(src_files).map_batches(
+    routed = read_files(src_files).map_batches(
         _route_batches(payload_ref, p_ins), batch_format="pyarrow")
 
     def rewrite(group: pa.Table) -> None:

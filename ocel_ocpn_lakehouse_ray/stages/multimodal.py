@@ -190,11 +190,11 @@ def decode_stats_pipeline(table, *, concurrency=None, batch_size=64, num_blocks=
     pass ``concurrency`` to force an actor pool (the shape a real codec-library
     stage with per-worker init would use).
 
-    ``num_blocks``: decode is CPU-bound, but read tasks coalesce small files
-    into ~128 MB blocks, capping map parallelism at the block count — split
-    into >= cluster-CPU blocks (cheap, no shuffle) so the stage saturates."""
-    read_kwargs = {"override_num_blocks": num_blocks} if num_blocks else {}
-    ds = table.to_dataset(columns=["image_id", "bytes", "fmt", "w", "h"], **read_kwargs)
+    ``num_blocks``: decode is CPU-bound and map parallelism is capped at the
+    block count (one per fragment by default) — split into >= cluster-CPU
+    blocks (cheap, no shuffle) so the stage saturates."""
+    ds = table.to_dataset(columns=["image_id", "bytes", "fmt", "w", "h"],
+                          num_blocks=num_blocks)
     if concurrency is not None:
         return ds.map_batches(DecodeStats, batch_format="pyarrow",
                               batch_size=batch_size, concurrency=concurrency)

@@ -310,7 +310,7 @@ def verify_merged_map_only(table, *, n: int, seed: int = 42,
         }, schema=cs_schema)
 
     nb = num_blocks or 3 * int(ray.cluster_resources().get("CPU", 8))
-    rep_ds = table.to_dataset(override_num_blocks=nb).map_batches(
+    rep_ds = table.to_dataset(num_blocks=nb).map_batches(
         check, batch_format="pyarrow")
     totals = {f: 0 for f in REPORT_SCHEMA.names}
     totals["min_psnr"] = float("inf")

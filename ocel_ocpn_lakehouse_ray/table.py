@@ -190,69 +190,67 @@ class LakeTable:
 
     # ------------------------------------------------------------ scan
     def live_fragments(self, predicates: list[tuple] | None = None) -> list:
-        """Fragments surviving min/max pruning for [(col, lo, hi), ...]."""
+        """Fragments surviving min/max pruning for [(col, lo, hi), ...].  A
+        point predicate (lo == hi) on the column a fragment's key Bloom
+        sidecar covers also probes that sidecar: after clustering the key
+        ranges interleave, and min/max alone would keep nearly every
+        fragment for a lookup."""
         frags = self.fragments
         for col, lo, hi in predicates or []:
             frags = [f for f in frags if not f.prune(col, lo, hi)]
+            if isinstance(lo, str) and lo == hi:
+                frags = [f for f in frags if self._bloom_may_hold(f, col, lo)]
         return frags
+
+    def _bloom_may_hold(self, frag, column: str, key: str) -> bool:
+        """False only when the fragment's sidecar on ``column`` proves
+        ``key`` absent; no sidecar, or an unreadable one, keeps the
+        fragment."""
+        from .functions import bloom
+
+        info = frag.stats.get("__bloom")
+        if not info or info.get("column") != column:
+            return True
+        try:
+            bits, k = bloom.read_sidecar_cached(
+                os.path.join(self.root, info["path"]))
+        except (OSError, ValueError):
+            return True
+        return bool(bloom.might_contain(bits, [key], k)[0])
 
     def to_dataset(
         self,
         columns: list[str] | None = None,
         predicates: list[tuple] | None = None,
-        **read_kwargs,
+        *,
+        num_blocks: int | None = None,
     ):
-        """Live fragment list → ray.data.Dataset (reference S2).  Columns are
-        pruned at the read; predicates [(col, lo, hi), ...] prune at THREE
-        levels: whole fragments via manifest stats, row groups via parquet
+        """Live fragment list → ray.data.Dataset (reference S2) through the
+        engine reader (``sources.fragments.read_files``; ``num_blocks`` passes
+        on).  Columns are pruned at the read; predicates [(col, lo, hi), ...]
+        prune at FOUR levels: whole fragments via manifest stats and key
+        Bloom sidecars (``live_fragments``), row groups via parquet
         statistics, and rows via the pushed-down arrow filter expression —
         the scan returns exactly the rows in every predicate's inclusive
-        range.  (Evolved-schema tables skip the row-level pushdown: old
-        fragments may lack the predicate column, which the filter cannot
-        reference; fragment-level pruning still applies.)"""
-        import ray.data
+        range.  The read schema is the table's, so fragments written before
+        an additive schema evolution read the appended columns as nulls.
+        Evolved tables skip the row-level filter: a row of an old fragment
+        would otherwise be dropped for its null-filled predicate column;
+        fragment-level pruning still applies."""
+        from .sources.fragments import read_files
 
-        frags = self.live_fragments(predicates)
-        schema = self.schema
-        read_cols = columns
+        expr = None
         if predicates and not self.manifest.config.get("schema_evolved"):
             import pyarrow.compute as _pc
 
-            expr = None
             for col, lo, hi in predicates:
                 for e in ((_pc.field(col) >= lo) if lo is not None else None,
                           (_pc.field(col) <= hi) if hi is not None else None):
-                    if e is None:
-                        continue
-                    expr = e if expr is None else (expr & e)
-            if expr is not None:
-                read_kwargs.setdefault("filter", expr)
-                # the filter can only reference columns the read projects:
-                # read the predicate columns too, then drop them
-                if columns:
-                    read_cols = list(dict.fromkeys(
-                        [*columns, *(c for c, _, _ in predicates)]))
-        if not frags:
-            tbl = schema.empty_table()
-            return ray.data.from_arrow(tbl.select(columns) if columns else tbl)
-        # explicit schema: fragments written before an additive schema
-        # evolution lack the appended columns — the read fills them with nulls.
-        if self.manifest.config.get("schema_evolved") and columns:
-            # the parquet reader cannot PROJECT a column missing from a file:
-            # read unprojected (schema fill) then select.  Only evolved tables
-            # pay this; unevolved tables keep full projection pushdown.
-            ds = ray.data.read_parquet(
-                self.fragment_paths(frags), schema=schema, **read_kwargs
-            )
-            return ds.select_columns(columns)
-        read_schema = (
-            pa.schema([schema.field(c) for c in read_cols]) if columns else schema
-        )
-        ds = ray.data.read_parquet(
-            self.fragment_paths(frags), columns=read_cols, schema=read_schema,
-            **read_kwargs
-        )
-        return ds.select_columns(columns) if read_cols != columns else ds
+                    if e is not None:
+                        expr = e if expr is None else (expr & e)
+        return read_files(self.fragment_paths(self.live_fragments(predicates)),
+                          columns=columns, schema=self.schema, filter=expr,
+                          num_blocks=num_blocks)
 
     def to_arrow(self, columns: list[str] | None = None) -> pa.Table:
         """Driver-side full read — ONLY for tests/small tables."""
@@ -347,7 +345,7 @@ class LakeTable:
 
     def read_incremental(self, from_version: int,
                          to_version: int | None = None,
-                         columns: list[str] | None = None, **read_kwargs):
+                         columns: list[str] | None = None):
         """Dataset over fragments ADDED between two snapshots — incremental
         (CDC-style) consumption so a downstream pipeline (MV refresh, index
         build, training-data delta export) reads only new data instead of
@@ -356,22 +354,15 @@ class LakeTable:
         rewritten-but-logically-unchanged rows; check
         ``diff()['append_only']`` first when exactly-once row delivery
         matters (the Iceberg incremental-scan contract)."""
-        import ray.data
+        from .sources.fragments import read_files
 
         b = self if to_version is None else LakeTable(
             self.root, mf.load_manifest(self.root, to_version, branch=self.branch))
         a_ids = {f.fragment_id for f in mf.load_manifest(
             self.root, from_version, branch=self.branch).fragments}
         added = [f for f in b.fragments if f.fragment_id not in a_ids]
-        schema = b.schema
-        if not added:
-            tbl = schema.empty_table()
-            return ray.data.from_arrow(tbl.select(columns) if columns else tbl)
-        read_schema = (pa.schema([schema.field(c) for c in columns])
-                       if columns else schema)
-        return ray.data.read_parquet(
-            b.fragment_paths(added), columns=columns, schema=read_schema,
-            **read_kwargs)
+        return read_files(b.fragment_paths(added), columns=columns,
+                          schema=b.schema)
 
     def append_arrow(self, tbl: pa.Table, *, name_parts: tuple | None = None) -> "LakeTable":
         """Small/driver-side append (reference S4 `write_iceberg(mode=append)`)."""

@@ -1,7 +1,9 @@
 """Budget matrix for every budget-guarded driver path: each caller runs
 with its budget constant left as it is (driver path) and patched to 0
 (fallback path), and both must return the same frame — on the registry
-queries, on empty input, and with upstream executed once per block."""
+queries (their grouped transforms, ``bucketed_groups``, included), on
+empty input, and with upstream executed once per block.  The byte bound
+alone also forces the fallback."""
 
 from __future__ import annotations
 
@@ -52,6 +54,7 @@ EMPTY_COLUMNS = {
                         "l_returnflag", "sum_base_price", "sum_disc_price",
                         "sum_qty"],
     "minhash_lsh_pairs": ["a", "b"],
+    "direct_follows": ["dst", "n", "src"],
 }
 
 
@@ -59,7 +62,7 @@ EMPTY_COLUMNS = {
 @pytest.mark.parametrize("budget", [0, None], ids=["fallback", "driver"])
 def test_empty_input_on_both_paths(name, budget, tmp_path, monkeypatch):
     """Zero-row source tables give the same typed empty result either way."""
-    for t in ("lineitem", "documents"):
+    for t in ("lineitem", "documents", "events"):
         src = pq.read_table(f"{SF}/{t}.parquet")
         pq.write_table(src.schema.empty_table(), tmp_path / f"{t}.parquet")
     if budget is not None:
@@ -69,6 +72,30 @@ def test_empty_input_on_both_paths(name, budget, tmp_path, monkeypatch):
     assert queries.bounded_fold(
         ray.data.from_arrow(pa.table({"k": pa.array([], pa.int64())})),
         ["k"], lambda g: g) is None
+
+
+@pytest.mark.parametrize("name", ["embedding_dedup", "minhash_lsh_pairs",
+                                  "direct_follows"])
+def test_byte_bound_alone_forces_the_buckets(name, monkeypatch):
+    """Under the row budget but past BROADCAST_BYTES, grouped transforms
+    take the hash buckets, and return what the driver path returns."""
+    reg = entry.queries()
+    base = _norm(reg[name](SF))
+    calls = []
+    real = queries._hash_buckets
+
+    def counted(*a, **kw):
+        calls.append(a[1])
+        return real(*a, **kw)
+
+    monkeypatch.setattr(queries, "_hash_buckets", counted)
+    reg[name](SF)
+    assert calls == []  # the row and byte budgets both hold at sf0.001
+    monkeypatch.setattr(queries, "BROADCAST_BYTES", 0)
+    fb = _norm(reg[name](SF))
+    assert calls  # every fold and grouped transform took the buckets
+    pd.testing.assert_frame_equal(base, fb, check_dtype=False)
+    assert len(base) > 0
 
 
 def _counted_source(tmp_path, table: pa.Table, blocks: int):

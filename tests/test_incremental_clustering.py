@@ -309,3 +309,28 @@ def test_plan_recommends_clustering_for_unplaced_bytes(tmp_path):
     t, _ = run_clustering(t, job_id="z")
     assert not any(j["job"] == "clustering"
                    for j in generate_maintenance_plan(t)["jobs"])
+
+
+def test_sample_boundaries_ignore_fragment_names(tmp_path):
+    """Two tables with the same rows in differently named fragments (plain
+    appends get random names) sample the same rows: the fragment subset and
+    each fragment's row sample follow content, not file names."""
+    rng = np.random.default_rng(5)
+    n_frags, per = 20, 1000
+    ids = np.arange(n_frags * per)
+    cols = {"phash": rng.integers(-2**62, 2**62, len(ids)),
+            "w": rng.integers(8, 64, len(ids)).astype(np.int32),
+            "h": rng.integers(8, 64, len(ids)).astype(np.int32)}
+    schema = pa.schema([("image_id", pa.string()), ("phash", pa.int64()),
+                        ("w", pa.int32()), ("h", pa.int32())])
+    bounds = []
+    for name in ("a", "b"):
+        t = LakeTable.create(str(tmp_path / name), schema)
+        for j in range(n_frags):
+            sl = slice(j * per, (j + 1) * per)
+            t = t.append_arrow(pa.table(
+                {"image_id": [f"img-{i:08d}" for i in ids[sl]],
+                 **{c: v[sl] for c, v in cols.items()}}, schema=schema))
+        bounds.append(sample_boundaries(t, "zorder", 4))
+    assert len(bounds[0]) == 3
+    assert bounds[0] == bounds[1]
