@@ -13,6 +13,7 @@ deterministic for test stability.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+import zlib
 
 import numpy as np
 
@@ -22,8 +23,9 @@ PNML_NS = "http://www.pnml.org/version-2009/grammar/pnml"
 def synth_pnml(net_id: str, n_places: int, n_transitions: int,
                seed: int = 42) -> bytes:
     """Deterministic PNML document: a random bipartite place/transition net
-    with initial marking on the first place."""
-    rng = np.random.Generator(np.random.PCG64(seed ^ hash(net_id) & 0x7FFFFFFF))
+    with initial marking on the first place.  Seeded by a stable hash of
+    ``net_id`` (``hash`` of a str is salted per process)."""
+    rng = np.random.Generator(np.random.PCG64(seed ^ zlib.crc32(net_id.encode())))
     root = ET.Element("pnml", xmlns=PNML_NS)
     net = ET.SubElement(root, "net", id=net_id,
                         type="http://www.pnml.org/version-2009/grammar/ptnet")

@@ -154,21 +154,15 @@ def _hash_buckets(ds, key_col: str, fn, buckets: int = 32):
     kernel inside each bucket — orders of magnitude fewer task/pandas
     invocations than groupby(key).map_groups when the key cardinality is
     high (SURVEY.md §4 skew row: every row of a key lands in exactly one
-    bucket).  Null keys hash as 0 / "" and so share one fixed bucket."""
-    def assign(b: pa.Table) -> pa.Table:
-        from ..functions.hashing import hash_strings, splitmix64
-
-        col = b[key_col]
-        if pa.types.is_integer(col.type):
-            h = splitmix64(pc.fill_null(col, 0).to_numpy().astype(np.uint64))
-        else:
-            h = hash_strings([v or "" for v in col.to_pylist()])
-        return b.append_column("__bucket", pa.array((h % np.uint64(buckets)).astype(np.int32)))
+    bucket; ``shuffle.assign_hash_part``, whose null keys share one fixed
+    bucket)."""
+    from ..stages.shuffle import PART_COL, assign_hash_part
 
     return (
-        ds.map_batches(assign, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(lambda g: fn(g.drop(columns="__bucket")), batch_format="pandas")
+        ds.map_batches(lambda b: assign_hash_part(b, key_col, buckets),
+                       batch_format="pyarrow")
+        .groupby(PART_COL)
+        .map_groups(lambda g: fn(g.drop(columns=PART_COL)), batch_format="pandas")
     )
 
 

@@ -26,10 +26,11 @@ The stamp.  Every fragment a reduce writes carries, besides ``cluster_key``,
 a ``cluster_range`` stat: the order, ``zorder.KEY_VERSION``, the inclusive
 salted-key bounds ``lo``/``hi`` of its range, and whether it is the range's
 ``base`` or ``delta`` run.  The table's layout thus lives in fragment stats,
-with no manifest format change.  A cow MERGE keeps it honest
-(``write_in_range``): a stamped fragment it rewrites keeps only the rows
-still inside its range, re-sorted and re-stamped; the movers (updates whose
-key left the range) go out as a separate unstamped fragment.
+with no manifest format change.  Every row-level rewrite — cow MERGE,
+DELETE and UPDATE — keeps it honest (``write_in_range``): a stamped fragment
+it rewrites keeps only the rows still inside its range, re-sorted and
+re-stamped; the movers (updates whose key left the range) go out as a
+separate unstamped fragment.
 
 Two paths:
   * **full** — sample salted keys → fresh boundaries, read every fragment,
@@ -120,7 +121,7 @@ def sample_boundaries(table, order: str, num_parts: int, sample_frac: float = No
         frac = min(1.0, target_sample / max(1, sum(f.rows for f in subset)))
     else:
         subset = frags
-    # Plain ray.remote tasks instead of a Dataset: the sample is tiny
+    # Plain tasks (``fan_out``) instead of a Dataset: the sample is tiny
     # (<= 200k key rows) and the streaming executor's planning/startup was
     # the cluster job's dominant FIXED cost (~0.3-0.5 s), which caps its
     # measured scaling efficiency.  Deterministic per fragment content.
@@ -128,17 +129,16 @@ def sample_boundaries(table, order: str, num_parts: int, sample_frac: float = No
 
     import ray
 
-    @ray.remote(num_cpus=1)
-    def sample_keys(items: list[tuple[str, str]], frc: float) -> np.ndarray:
-        import pyarrow.parquet as pq
+    from .fs_shuffle import fan_out
 
+    def sample_keys(items: list[tuple[str, str]]) -> np.ndarray:
         out = []
         for p, ckey in items:
             t = pq.read_table(p, columns=["phash", "w", "h", "image_id"],
                               use_threads=False)
-            if frc < 1.0 and t.num_rows > 1:
+            if frac < 1.0 and t.num_rows > 1:
                 rng = np.random.default_rng(42 ^ zlib.crc32(ckey.encode()))
-                take = max(1, int(t.num_rows * frc))
+                take = max(1, int(t.num_rows * frac))
                 t = t.take(np.sort(rng.choice(t.num_rows, take, replace=False)))
             if t.num_rows:
                 out.append(_salted(t, order))
@@ -149,7 +149,7 @@ def sample_boundaries(table, order: str, num_parts: int, sample_frac: float = No
     ntasks = max(1, min(len(items),
                         int(ray.cluster_resources().get("CPU", 8))))
     chunks = [items[i::ntasks] for i in range(ntasks)]
-    keys = ray.get([sample_keys.remote(c, frac) for c in chunks if c])
+    keys = fan_out(sample_keys, [(c,) for c in chunks if c])
     allk = (np.sort(np.concatenate(keys))
             if any(len(k) for k in keys) else np.array([], np.uint64))
     if len(allk) == 0 or num_parts <= 1:
@@ -197,11 +197,12 @@ def write_run(write, rows: pa.Table, *, target_bytes: int, order: str,
 
 def write_in_range(write, rows: pa.Table, st: dict | None, *,
                    target_bytes: int) -> list:
-    """Rewrite of one fragment by a row-level job (cow MERGE): with a current
-    stamp ``st``, the rows whose key is still inside its range are written
-    sorted and re-stamped as the same run, and the movers (rows whose key
-    left the range) go out as a separate unstamped fragment.  Without one,
-    ``rows`` are written as they are."""
+    """Rewrite of one fragment by a row-level job (cow MERGE's bins, and
+    ``compaction.rewrite_bins`` for compaction, DELETE and UPDATE): with a
+    current stamp ``st``, the rows whose key is still inside its range are
+    written sorted and re-stamped as the same run, and the movers (rows
+    whose key left the range) go out as a separate unstamped fragment.
+    Without one, ``rows`` are written as they are."""
     if st is None or st["key_version"] != KEY_VERSION:
         return write(rows, target_bytes=target_bytes)
     sk = _salted(rows, st["order"])

@@ -5,10 +5,13 @@ nothing is rewritten).  Here the plan is executed.
 
 Physical shape (SURVEY.md §7 step 4): compaction needs NO shuffle — each bin
 is an independent read→concat→write task.  The driver plans over manifest
-metadata (tiny); a ``Dataset`` of bin descriptors fans the rewrites out as
-``map_batches`` tasks, each bin one partition of the journal protocol
+metadata (tiny); ``rewrite_bins`` fans the rewrites out as one task per bin
+(``fs_shuffle.fan_out``), each bin one partition of the journal protocol
 (state/lineage.py); the job fingerprints its bin plan, so a resume over a
-re-packed plan raises instead of rewriting a fragment twice.
+re-packed plan raises instead of rewriting a fragment twice.  DELETE and
+UPDATE (stages/delete.py) run the same job with one bin per candidate
+fragment and their own per-bin transform; a failed bin surfaces only after
+every sibling has finished and journaled, so a rerun redoes just that bin.
 
 Sizes are Arrow bytes (``FragmentMeta.arrow_bytes``): ``target_fragment_bytes``
 is the unit the writer splits an output on (sources/fragments.py), so the
@@ -25,7 +28,6 @@ storage bandwidth.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -35,7 +37,7 @@ import pyarrow.parquet as pq
 
 from ..state import lineage
 from ..state.manifest import FragmentMeta
-from .clustering import STAMP
+from .clustering import STAMP, write_in_range
 from .health import estimate_compaction
 
 
@@ -87,31 +89,44 @@ def plan_compaction(fragments, *, target_bytes: int) -> CompactionPlan:
     )
 
 
-def _compact_bin(batch: pa.Table, *, root: str, job_id: str, target_bytes: int,
-                 failpoint=None) -> pa.Table:
-    """map_batches stage (stateless TASK) over the bin-descriptor dataset:
-    one row = one bin, run through the journal protocol (state/lineage.py).
-    The kernel reads the bin's fragments directly with pyarrow — the same
-    descriptor-plus-kernel shape as the engine reader
-    (``sources.fragments.read_files``), kept inline because the read and
-    the write belong to one journaled partition — and concatenates them."""
-    for row in batch.to_pylist():
-        bin_id = row["bin_id"]
+def rewrite_bins(table, job_id: str, bins: list, transform, *,
+                 failpoint: int | None = None) -> list:
+    """The fragment-rewrite job behind compaction and DELETE/UPDATE: one
+    ``fs_shuffle.fan_out`` task per bin (a list of FragmentMeta), each one
+    partition ``bin-NNNNN`` of the journal protocol (state/lineage.py) with
+    every member in ``frags_in``.  The task reads the bin's fragments
+    (concatenated in bin order) and calls ``transform(tbl) -> (rows | None,
+    extra)``: ``rows`` are written through ``clustering.write_in_range``
+    under the first member's stamp, so a stamped fragment's rewrite stays in
+    its range; None passes the bin through (no output, ``extra`` still
+    journaled).  The bin whose index equals ``failpoint`` raises instead.
+    Every sibling finishes and journals before a failure surfaces.  Returns
+    the bins' records (``lineage.collect``), in bin order."""
+    from .fs_shuffle import fan_out
 
+    root = table.root
+    target_bytes = table.config.target_fragment_bytes
+    bin_ids = [f"bin-{i:05d}" for i in range(len(bins))]
+
+    def rewrite(i: int, members: list) -> None:
         def kernel(write):
-            if failpoint is not None and int(bin_id.split("-")[1]) >= failpoint:
-                raise RuntimeError(f"failpoint: simulated crash at {bin_id}")
-            # single-threaded reads: one bin task per CPU; arrow's default
-            # 8-thread IO pool across 16 concurrent tasks thrashes the bus
-            merged = pa.concat_tables(  # zero-copy chunk-list concat
-                [pq.read_table(os.path.join(root, p), use_threads=False,
-                               memory_map=True)
-                 for p in json.loads(row["paths"])])
-            return write(merged, target_bytes=target_bytes), merged.num_rows, {}
+            if i == failpoint:
+                raise RuntimeError(f"failpoint: simulated crash at {bin_ids[i]}")
+            tbl = pa.concat_tables(  # zero-copy chunk-list concat
+                [pq.read_table(os.path.join(root, f.path), use_threads=False,
+                               memory_map=True) for f in members])
+            rows, extra = transform(tbl)
+            if rows is None:
+                return [], tbl.num_rows, extra
+            return (write_in_range(write, rows, members[0].stats.get(STAMP),
+                                   target_bytes=target_bytes),
+                    rows.num_rows, extra)
 
-        lineage.load_or_run(root, job_id, bin_id, kernel,
-                            frags_in=json.loads(row["frag_ids"]))
-    return batch.slice(0, 0)
+        lineage.load_or_run(root, job_id, bin_ids[i], kernel,
+                            frags_in=[f.fragment_id for f in members])
+
+    fan_out(rewrite, list(enumerate(bins)))
+    return lineage.collect(root, job_id, bin_ids, f"bin rewrite {job_id}")
 
 
 def run_compaction(table, *, job_id: str | None = None, failpoint: int | None = None):
@@ -120,8 +135,6 @@ def run_compaction(table, *, job_id: str | None = None, failpoint: int | None = 
     Resumable: rerun with the SAME ``job_id`` after an interruption — bins
     already in the lineage journal are skipped (their outputs are reused), and
     the final commit is built from the journal."""
-    import ray.data
-
     cfg = table.config
     job_id = job_id or lineage.default_job_id("compact", table)
     t0 = time.time()
@@ -133,23 +146,13 @@ def run_compaction(table, *, job_id: str | None = None, failpoint: int | None = 
     lineage.open_job(table.root, job_id, lineage.fingerprint(bin_frags))
     phases = {"plan": round(time.time() - t0, 3)}
 
-    bin_ids = [f"bin-{i:05d}" for i in range(len(plan.bins))]
-    ray.data.from_items([
-        {"bin_id": bin_id, "paths": json.dumps([f.path for f in b]),
-         "frag_ids": json.dumps(ids)}
-        for bin_id, b, ids in zip(bin_ids, plan.bins, bin_frags)
-    ]).map_batches(
-        _compact_bin,
-        fn_kwargs=dict(root=table.root, job_id=job_id,
-                       target_bytes=cfg.target_fragment_bytes, failpoint=failpoint),
-        batch_format="pyarrow",
-        batch_size=1,
-    ).materialize()  # drive all bin tasks; results land in the journal
+    records = rewrite_bins(table, job_id, plan.bins, lambda tbl: (tbl, {}),
+                           failpoint=failpoint)
     phases["rewrite"] = round(time.time() - t0 - sum(phases.values()), 3)
 
     # Build the commit from the journal (works for fresh AND resumed runs)
     add, remove_ids, rows = [], set(), 0
-    for rec in lineage.collect(table.root, job_id, bin_ids, "compaction"):
+    for rec in records:
         add.extend(rec.out_metas())
         remove_ids.update(rec.frags_in)
         rows += rec.rows

@@ -5,15 +5,22 @@ real lakehouse user.
 
 Plan over manifest metadata only: fragments whose min/max stats CANNOT
 contain a matching row pass through untouched (`FragmentMeta.prune` — the
-same pruning MERGE uses); each candidate fragment becomes one independent
-rewrite task (one partition of the journal protocol, state/lineage.py) that
-reads the fragment, computes the matching rows vectorized
-(`pyarrow.compute`) and applies the verb's transform: DELETE drops the
-matches, UPDATE applies its SET expressions to them.  A candidate with no
-match keeps its original fragment (no rewrite churn).  No shuffle, no
+same pruning MERGE uses); each candidate fragment becomes a one-fragment bin
+of compaction's fragment-rewrite job (`compaction.rewrite_bins`: one task
+and one journal partition ``bin-NNNNN`` per candidate, state/lineage.py).
+The task computes the matching rows vectorized (`pyarrow.compute`) and
+applies the verb's transform: DELETE drops the matches, UPDATE applies its
+SET expressions to them.  A candidate with no match keeps its original
+fragment (no rewrite churn).  A rewritten fragment that a clustering stamped
+with its key range stays in its range (`clustering.write_in_range`): DELETE
+never moves a row out, and an UPDATE writes only the rows whose cluster key
+it moved (a SET on phash, w, h or image_id) as a separate unstamped
+fragment, so the next re-cluster routes only those.  No shuffle, no
 exchange — the same embarrassingly-parallel scaling class as compaction,
-bounded by storage bandwidth at 100 TB.  The predicates (and SETs) are the
-job's fingerprint: folded into the default job id and checked on resume.
+bounded by storage bandwidth at 100 TB.  The predicates (and SETs) are
+folded into the default job id; they and the candidate fragment ids are the
+job's fingerprint, checked on resume, so a resume over a changed candidate
+list raises instead of matching records to the wrong fragments.
 
 Supported predicates (each a dict, combined with AND):
   {"column": c, "op": "between", "lo": x, "hi": y}
@@ -23,14 +30,13 @@ Supported predicates (each a dict, combined with AND):
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..state import lineage
+from .compaction import rewrite_bins
 
 
 def _match_expr(batch: pa.Table, predicates: list[dict]):
@@ -71,44 +77,14 @@ def _fragment_may_match(frag, predicates: list[dict]) -> bool:
     return True
 
 
-def _rewrite_fragment(batch: pa.Table, *, root: str, job_id: str,
-                      predicates_json: str, transform, count_key: str,
-                      target_bytes: int,
-                      failpoint: int | None = None) -> pa.Table:
-    """One task per candidate fragment: read → match → transform →
-    rewrite; a fragment with no match journals a pass-through record."""
-    import pyarrow.parquet as pq
-
-    predicates = json.loads(predicates_json)
-    for row in batch.to_pylist():
-        def kernel(write):
-            if failpoint is not None and row["idx"] == failpoint:
-                raise RuntimeError(f"failpoint fragment {row['idx']}")
-            tbl = pq.read_table(os.path.join(root, row["path"]),
-                                use_threads=False)
-            mask = _match_expr(tbl, predicates)
-            n = int(pc.sum(mask).as_py() or 0)
-            if n == 0:  # stats over-approximated; keep the original file
-                return [], tbl.num_rows, {count_key: 0}
-            out = transform(tbl, mask)
-            return (write(out, target_bytes=target_bytes), out.num_rows,
-                    {count_key: n})
-
-        lineage.load_or_run(root, job_id, row["frag_id"], kernel,
-                            frags_in=[row["frag_id"]])
-    return batch.slice(0, 0)
-
-
 def run_predicate_rewrite(table, verb: str, params: dict, transform, *,
                           job_id: str | None = None,
                           failpoint: int | None = None):
     """The DELETE/UPDATE job: ``verb`` ("delete" | "update") names the job
     id, operation and counter ("deleted" | "updated"); ``params`` holds
-    ``predicates`` (plus UPDATE's ``sets``) and is the job's fingerprint;
-    ``transform(tbl, mask)`` returns a candidate fragment's new rows.
-    Returns (new_table, report)."""
-    import ray.data
-
+    ``predicates`` (plus UPDATE's ``sets``) and, with the candidate ids,
+    is the job's fingerprint; ``transform(tbl, mask)`` returns a candidate
+    fragment's new rows.  Returns (new_table, report)."""
     count_key = f"{verb}d"
     predicates = params["predicates"]
     fp = lineage.fingerprint(*params.values())
@@ -120,25 +96,22 @@ def run_predicate_rewrite(table, verb: str, params: dict, transform, *,
     if not candidates:
         return table, {"job_id": job_id, count_key: 0, "rewritten": 0,
                        "pruned_fragments": pruned, "seconds": 0.0}
-    lineage.open_job(table.root, job_id, fp,
+    # the candidate ids join the checked fingerprint (not the default job
+    # id): a resume after another commit re-lists the candidates, and
+    # records keyed by candidate index would land on the wrong fragments
+    lineage.open_job(table.root, job_id,
+                     lineage.fingerprint(fp, [f.fragment_id for f in candidates]),
                      lambda: {**params, "base_version": table.version})
 
-    rows = [{"idx": i, "frag_id": f.fragment_id, "path": f.path}
-            for i, f in enumerate(candidates)]
-    ray.data.from_items(rows).map_batches(
-        _rewrite_fragment,
-        fn_kwargs=dict(root=table.root, job_id=job_id,
-                       predicates_json=json.dumps(predicates),
-                       transform=transform, count_key=count_key,
-                       target_bytes=table.config.target_fragment_bytes,
-                       failpoint=failpoint),
-        batch_format="pyarrow", batch_size=1,
-    ).materialize()  # drive the tasks; results land in the journal
+    def rewrite(tbl: pa.Table):
+        mask = _match_expr(tbl, predicates)
+        n = int(pc.sum(mask).as_py() or 0)
+        # no match (stats over-approximated): the original file stays
+        return (transform(tbl, mask) if n else None), {count_key: n}
 
     add, remove_ids, n = [], set(), 0
-    records = lineage.collect(table.root, job_id,
-                              [f.fragment_id for f in candidates], verb)
-    for rec in records:
+    for rec in rewrite_bins(table, job_id, [[f] for f in candidates], rewrite,
+                            failpoint=failpoint):
         if rec.extra[count_key] == 0:  # pass-through: original stays live
             continue
         add.extend(rec.out_metas())

@@ -11,12 +11,13 @@ PINNED snapshot so a concurrent MERGE/compaction cannot tear the export.
 Physical shape: the driver plans shard membership over MANIFEST metadata
 only (greedy contiguous packing of the manifest's fragment order — which is
 cluster order after a Z-order/Hilbert job, so shards inherit data locality).
-Each shard is one independent Ray task: read its fragments (columns pruned),
-write ``shard-NNNNN.parquet`` via tmp+atomic-rename, journal a
-state/lineage.py record.  Resume = re-run with the same job_id: journaled
-shards are skipped without reading a byte.  No shuffle, no exchange —
-at 100 TB this is ~400k independent tasks bounded by storage bandwidth,
-same scaling class as compaction.
+Each shard is one task of the engine's fan-out (``fs_shuffle.fan_out``):
+read its fragments (columns pruned), write ``shard-NNNNN.parquet`` via
+tmp+atomic-rename, journal a state/lineage.py record.  A failed shard
+surfaces only after its siblings finish and journal.  Resume = re-run with
+the same job_id: journaled shards are skipped without reading a byte.  No
+shuffle, no exchange — at 100 TB this is ~400k independent tasks bounded by
+storage bandwidth, same scaling class as compaction.
 
 A ``_MANIFEST.json`` (shard list + rows + bytes + source table version) and
 ``_SUCCESS`` marker publish the export atomically at the end.
@@ -67,11 +68,9 @@ def run_export(table, out_dir: str, *, job_id: str | None = None,
     the range matters.  Returns a report; re-running with the same job_id
     after an interruption resumes, skipping journaled shards (exercised in
     tests with a failpoint)."""
-    import ray
-
     from ..state import manifest as mf
     from ..sources.fragments import column_compression
-    from .fs_shuffle import drain
+    from .fs_shuffle import fan_out
 
     job_id = job_id or f"export-v{table.version}"
     t0 = time.time()
@@ -89,7 +88,6 @@ def run_export(table, out_dir: str, *, job_id: str | None = None,
     root = table.root
     done = lineage.load_records(root, job_id)
 
-    @ray.remote(num_cpus=1)
     def write_shard(idx: int, paths: list[str], frag_ids: list[str]):
         pid = f"shard-{idx:05d}"
 
@@ -117,7 +115,7 @@ def run_export(table, out_dir: str, *, job_id: str | None = None,
         lineage.run_partition(root, job_id, pid, kernel, frags_in=frag_ids)
         return idx
 
-    refs = []
+    calls = []
     skipped = 0
     for i, shard in enumerate(shards):
         pid = f"shard-{i:05d}"
@@ -125,12 +123,11 @@ def run_export(table, out_dir: str, *, job_id: str | None = None,
                 os.path.join(out_dir, done[pid].extra["file"])):
             skipped += 1
             continue
-        refs.append(write_shard.remote(
-            i, table.fragment_paths(shard),
-            [f.fragment_id for f in shard]))
+        calls.append((i, table.fragment_paths(shard),
+                      [f.fragment_id for f in shard]))
     # in-flight shards finish and journal, so the resume run only redoes
     # the failed ones
-    drain(refs)
+    fan_out(write_shard, calls)
 
     # Manifest covers exactly the shards PLANNED IN THIS RUN, in numeric
     # shard order: the journal may hold stale records from a prior run of

@@ -23,7 +23,13 @@ metadata/inode storm at high P × many map tasks).
 Reduce tasks are plain Ray tasks (one per partition) whose group function is
 responsible for idempotence (every caller runs the journal protocol of
 state/lineage.py per partition, so a retried or resumed reduce returns the
-journaled result without rewriting)."""
+journaled result without rewriting).
+
+``fan_out`` is the engine's one task fan-out, and the only place it declares
+a Ray task: the reduce side here, compaction's and DELETE/UPDATE's bin
+rewrites (``compaction.rewrite_bins``), cow MERGE's insert pass, export
+shards and clustering's key sample all run through it, so every job lets
+each sibling task finish — and journal — before a failure surfaces."""
 
 from __future__ import annotations
 
@@ -121,24 +127,30 @@ def drain(refs: list) -> list:
     return out
 
 
-def fs_reduce(manifest: dict, reduce_fn, fn_kwargs: dict | None = None):
-    """Fan one Ray task per manifest partition; returns reduce outputs."""
+def fan_out(fn, calls) -> list:
+    """The engine's one task fan-out: ``fn(*args)`` as one plain Ray task per
+    ``args`` tuple in ``calls``, results in call order (``drain``: every
+    task finishes before the first error is re-raised).  Each task takes one
+    CPU and one Arrow IO thread: arrow's default 8-thread IO pool makes 16
+    concurrent tasks run 128 reader threads that thrash the (shared) memory
+    bus — measured 4-5x slower per read than single-threaded (BASELINE.md
+    round-5 oversubscription note)."""
     import ray
 
-    fn_kwargs = fn_kwargs or {}
-
     @ray.remote(num_cpus=1)
-    def reduce_task(part: int, pieces: list[tuple[str, int]]):
-        # one task = one CPU: arrow's default 8-thread IO pool makes 16
-        # concurrent reduce tasks run 128 reader threads that thrash the
-        # (shared) memory bus — measured 4-5x slower per read than
-        # single-threaded (BASELINE.md round-5 oversubscription note)
+    def task(*args):
         if pa.io_thread_count() > 1:
             pa.set_io_thread_count(1)
-        return reduce_fn(read_partition(pieces), **fn_kwargs)
+        return fn(*args)
 
-    return drain([reduce_task.remote(p, pieces)
-                  for p, pieces in sorted(manifest.items())])
+    return drain([task.remote(*args) for args in calls])
+
+
+def fs_reduce(manifest: dict, reduce_fn, fn_kwargs: dict | None = None):
+    """One ``fan_out`` task per manifest partition; returns reduce outputs."""
+    fn_kwargs = fn_kwargs or {}
+    return fan_out(lambda pieces: reduce_fn(read_partition(pieces), **fn_kwargs),
+                   [(pieces,) for _, pieces in sorted(manifest.items())])
 
 
 def fs_shuffle_groups(ds, *, part_col: str, work_dir: str, reduce_fn,

@@ -379,7 +379,8 @@ def cow_merge(table, src_files: list[str], touched, *, job_id: str,
     # all groups into one block → one serial task; fs map + reduce fans one
     # Ray task per partition regardless of input size).  Only SOURCE rows
     # move; each task side-reads its fragments directly from table storage.
-    from .fs_shuffle import cleanup, drain, fs_reduce, fs_shuffle_map
+    from .fs_shuffle import (cleanup, fan_out, fs_reduce, fs_shuffle_map,
+                             read_partition)
 
     work = os.path.join(lineage.journal_dir(root, job_id), "cow-route")
     cleanup(work)
@@ -452,12 +453,7 @@ def cow_merge(table, src_files: list[str], touched, *, job_id: str,
                         .append(pa.field(BIN_COL, pa.int32()))
                         .append(pa.field(INS_COL, pa.bool_()))).empty_table()
 
-        from .fs_shuffle import read_partition
-
-        @ray.remote(num_cpus=1)
         def insert_task(k: int, pieces):
-            if pa.io_thread_count() > 1:
-                pa.set_io_thread_count(1)
             group = read_partition(pieces) if pieces else routed_empty
             return write_inserts(group, part=k)
 
@@ -468,8 +464,8 @@ def cow_merge(table, src_files: list[str], touched, *, job_id: str,
         # alone can populate it), and journaling each keeps resume exact.
         ins_manifest = {p: v for p, v in manifest.items() if p < 0}
         if ins_manifest or leftover_files:
-            drain([insert_task.remote(k, ins_manifest.get(-1 - k, []))
-                   for k in range(p_ins)])
+            fan_out(insert_task, [(k, ins_manifest.get(-1 - k, []))
+                                  for k in range(p_ins)])
     finally:
         cleanup(work)
     if phases is not None:

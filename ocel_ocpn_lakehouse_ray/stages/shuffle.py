@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..config import optimal_bucket_count
 from ..functions.hashing import hash_strings
@@ -23,14 +24,15 @@ MIN_PARTITION_BYTES = 16 << 20
 
 
 def assign_hash_part(batch: pa.Table, key_col: str, num_parts: int, seed: int = 0) -> pa.Table:
-    """Append a hash-partition id column (vectorized; string or int keys)."""
+    """Append a hash-partition id column (vectorized; string or int keys).
+    Null keys hash as 0 (ints) or "" (strings), so they share one part."""
     col = batch[key_col]
     if pa.types.is_integer(col.type):
         from ..functions.hashing import splitmix64
 
-        h = splitmix64(col.to_numpy(zero_copy_only=False).astype(np.uint64))
+        h = splitmix64(pc.fill_null(col, 0).to_numpy().astype(np.uint64))
     else:
-        h = hash_strings(col.to_pylist(), seed)
+        h = hash_strings(["" if v is None else v for v in col.to_pylist()], seed)
     part = (h % np.uint64(num_parts)).astype(np.int32)
     return batch.append_column(PART_COL, pa.array(part, pa.int32()))
 

@@ -1,8 +1,10 @@
 """Predicate UPDATE: copy-on-write row mutation — completes the DML triple
 next to MERGE INTO (`stages/merge.py`) and DELETE (`stages/delete.py`).
 
-Runs the predicate-rewrite job of `stages/delete.py` with the SET
-expressions as its per-fragment transform.
+Runs the predicate-rewrite job of `stages/delete.py` (compaction's
+fragment-rewrite job, one bin per candidate fragment) with the SET
+expressions as its per-fragment transform.  A clustered fragment keeps its
+range stamp; only rows whose cluster key a SET moved leave it, unstamped.
 
 SET expressions (applied in order to rows matching the WHERE predicates):
   {"column": c, "set": v}                       -> constant assignment

@@ -2,9 +2,9 @@
 them in range, and a re-cluster that routes only the unstamped rows.
 
 A clustering stamps each fragment it writes with its salted-key range
-(``cluster_range``).  A cow MERGE rewrites a stamped fragment as the rows
-still inside that range, sorted and re-stamped, plus an unstamped fragment
-of movers.  ``run_clustering`` then routes only the unstamped rows through
+(``cluster_range``).  A cow MERGE, a DELETE or an UPDATE rewrites a stamped
+fragment as the rows still inside that range, sorted and re-stamped, plus an
+unstamped fragment of movers.  ``run_clustering`` then routes only the unstamped rows through
 the stamped ranges into one delta run per range, folding base and delta
 once the delta passes half the base; without usable stamps, with an
 explicit ``num_partitions`` or with too much unstamped data it rewrites the
@@ -38,7 +38,9 @@ from ocel_ocpn_lakehouse_ray.stages.clustering import (
     sample_boundaries,
 )
 from ocel_ocpn_lakehouse_ray.stages.compaction import run_compaction
+from ocel_ocpn_lakehouse_ray.stages.delete import run_delete
 from ocel_ocpn_lakehouse_ray.stages.merge import run_merge
+from ocel_ocpn_lakehouse_ray.stages.update import run_update
 from ocel_ocpn_lakehouse_ray.stages.plan import generate_maintenance_plan
 from ocel_ocpn_lakehouse_ray.stages.verify import (
     scan_equivalence,
@@ -334,3 +336,84 @@ def test_sample_boundaries_ignore_fragment_names(tmp_path):
         bounds.append(sample_boundaries(t, "zorder", 4))
     assert len(bounds[0]) == 3
     assert bounds[0] == bounds[1]
+
+
+# ------------------------------------------------- DELETE / UPDATE in range
+
+IN_W = [{"column": "w", "op": "between", "lo": 32, "hi": 40}]
+
+
+@pytest.fixture(scope="module")
+def zordered_root(tmp_path_factory):
+    """1,000 rows at seed 201, compacted, then Z-ordered into 13 stamped
+    fragments (default config)."""
+    root = str(tmp_path_factory.mktemp("dml") / "z")
+    t = create_image_table(root, N, seed=201)
+    t, _ = run_compaction(t, job_id="c")
+    t, rep = run_clustering(t, order="zorder", job_id="z")
+    assert rep["path"] == "full"
+    assert len(_check_stamps(t)) == len(t.fragments) == 13
+    return root
+
+
+@pytest.fixture()
+def zordered(zordered_root, tmp_path):
+    root = str(tmp_path / "t")
+    shutil.copytree(zordered_root, root)
+    return LakeTable.load(root)
+
+
+def _assert_no_recluster(t):
+    t2, rep = run_clustering(t, order="zorder", job_id="z2")
+    assert rep["path"] == "incremental"
+    assert rep["fragments_in"] == 0 and rep["bytes_written"] == 0
+    assert t2.version == t.version  # nothing committed
+
+
+@pytest.mark.parametrize("verb", ["delete", "update"])
+def test_dml_keeps_every_stamp(zordered, verb):
+    """DELETE never moves a row out of its range and a caption-only UPDATE
+    moves none either: every rewritten fragment keeps its stamp, and the
+    next re-cluster has nothing to do."""
+    if verb == "delete":
+        t, rep = run_delete(zordered, IN_W, job_id="dml")
+        assert rep["deleted"] > 0
+        assert t.manifest.total_rows == N - rep["deleted"]
+    else:
+        t, rep = run_update(zordered, IN_W,
+                            [{"column": "caption", "prefix": "edited: "}],
+                            job_id="dml")
+        assert rep["updated"] > 0
+        cap = t.to_arrow(columns=["caption"])["caption"].to_pylist()
+        assert sum(c.startswith("edited: ") for c in cap) == rep["updated"]
+    assert rep["rewritten"] == 13
+    assert len(_check_stamps(t)) == len(t.fragments) == 13
+    _assert_no_recluster(t)
+
+
+def test_update_of_the_key_unstamps_only_the_movers(zordered):
+    """An UPDATE that sets phash writes a row unstamped exactly when its new
+    salted key left its fragment's range."""
+    before = zordered.to_arrow(columns=["phash"])["phash"].to_numpy()
+    old_range = {}
+    for f in zordered.fragments:
+        st = f.stats["cluster_range"]
+        ids = pq.read_table(os.path.join(zordered.root, f.path),
+                            columns=["image_id"])["image_id"].to_pylist()
+        old_range.update((i, (st["lo"], st["hi"])) for i in ids)
+    t, rep = run_update(zordered, IN_W,
+                        [{"column": "phash", "set": int(np.median(before))}],
+                        job_id="dml")
+    _check_stamps(t)  # every stamped row is inside its range
+    movers = 0
+    for f in t.fragments:
+        if "cluster_range" in f.stats:
+            continue
+        rows = pq.read_table(os.path.join(t.root, f.path))
+        assert all(32 <= w <= 40 for w in rows["w"].to_pylist())
+        for i, sk in zip(rows["image_id"].to_pylist(), _salted(rows, "zorder")):
+            lo, hi = old_range[i]
+            assert not lo <= int(sk) <= hi
+            movers += 1
+    assert 0 < movers < rep["updated"]  # some updated rows stayed in range
+    assert t.manifest.total_rows == N

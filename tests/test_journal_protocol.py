@@ -1,7 +1,9 @@
 """The journal protocol shared by every maintenance job (state/lineage.py):
-reduce fan-outs drain every task before raising, a resume under a changed
-plan raises instead of mixing plans, and only state/lineage.py reads or
-writes partition records."""
+reduce fan-outs drain every task before raising, so a crashed bin rewrite
+(compaction, DELETE) has journaled every sibling bin; a resume under a
+changed plan raises instead of mixing plans; only state/lineage.py reads or
+writes partition records; and every job fans its tasks out through
+``fs_shuffle.fan_out``."""
 
 import os
 import pathlib
@@ -9,14 +11,18 @@ import re
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 import ray.data
 
 from ocel_ocpn_lakehouse_ray.sources.generator import create_image_table, gen_batch
 from ocel_ocpn_lakehouse_ray.stages.clustering import run_clustering
-from ocel_ocpn_lakehouse_ray.stages.compaction import run_compaction
+from ocel_ocpn_lakehouse_ray.stages.compaction import plan_compaction, run_compaction
+from ocel_ocpn_lakehouse_ray.stages.delete import run_delete
 from ocel_ocpn_lakehouse_ray.stages.fs_shuffle import fs_shuffle_groups
+from ocel_ocpn_lakehouse_ray.stages.update import run_update
+from ocel_ocpn_lakehouse_ray.state import lineage
 from ocel_ocpn_lakehouse_ray.table import LakeTable
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "ocel_ocpn_lakehouse_ray"
@@ -87,4 +93,73 @@ def test_partition_records_are_touched_only_by_the_protocol():
         text = path.read_text()
         if re.search(r"\b_?(write|load)_record\b", text):
             offenders.append(path.relative_to(PACKAGE).as_posix())
+    assert offenders == []
+
+
+def _bin_ids(n: int, skip: int) -> list[str]:
+    return [f"bin-{i:05d}" for i in range(n) if i != skip]
+
+
+def test_compaction_crash_journals_every_other_bin(tmp_path):
+    t = create_image_table(str(tmp_path / "t"), 200, num_fragments=16, seed=3)
+    n = len(plan_compaction(t.fragments,
+                            target_bytes=t.config.target_fragment_bytes).bins)
+    assert n >= 3
+    with pytest.raises(Exception, match="failpoint"):
+        run_compaction(t, job_id="c", failpoint=0)
+    assert sorted(lineage.load_records(t.root, "c")) == _bin_ids(n, 0)
+    assert LakeTable.load(t.root).version == t.version  # nothing committed
+    t2, rep = run_compaction(t, job_id="c")
+    assert rep["bins"] == n and t2.manifest.total_rows == 200
+
+
+def test_delete_crash_journals_every_other_candidate(tmp_path):
+    t = create_image_table(str(tmp_path / "t"), 300, num_fragments=10, seed=13)
+    pred = [{"column": "w", "op": "between", "lo": 32, "hi": 128}]
+    with pytest.raises(Exception, match="failpoint"):
+        run_delete(t, pred, job_id="d", failpoint=0)
+    recs = lineage.load_records(t.root, "d")
+    assert len(t.fragments) >= 4
+    assert sorted(recs) == _bin_ids(len(t.fragments), 0)
+    assert all(len(r.frags_in) == 1 for r in recs.values())
+    t2, rep = run_delete(t, pred, job_id="d")
+    assert rep["rewritten"] == len(t.fragments)
+    assert t2.manifest.total_rows + rep["deleted"] == 300
+
+
+def test_delete_resume_over_rewritten_candidate_raises(tmp_path):
+    """DELETE records are keyed by candidate index; a resume after another
+    commit rewrote a candidate would match them to the wrong fragments, so
+    the candidate ids are in the fingerprint and the resume raises."""
+    t = create_image_table(str(tmp_path / "t"), 300, num_fragments=10, seed=13)
+    pred = [{"column": "w", "op": "between", "lo": 32, "hi": 128}]
+    with pytest.raises(Exception, match="failpoint"):
+        run_delete(t, pred, job_id="d", failpoint=0)
+    first = pq.read_table(os.path.join(t.root, t.fragments[0].path),
+                          columns=["image_id"])["image_id"][0].as_py()
+    t, rep = run_update(t, [{"column": "image_id", "op": "eq", "value": first}],
+                        [{"column": "caption", "set": "x"}])
+    assert rep["rewritten"] == 1
+    with pytest.raises(ValueError, match="different"):
+        run_delete(t, pred, job_id="d")
+    assert LakeTable.load(t.root).version == t.version  # nothing committed
+
+
+def test_only_fan_out_declares_ray_tasks():
+    """Jobs fan tasks out through ``fs_shuffle.fan_out`` alone, so each
+    one drains every sibling before a failure surfaces; no stage fans
+    partitions out as ``map_batches(batch_size=1)`` rows, whose job Ray
+    Data aborts at the first failed row."""
+    remote = {path.relative_to(PACKAGE).as_posix(): len(re.findall(
+                  r"@ray\.remote\b", path.read_text()))
+              for path in sorted(PACKAGE.rglob("*.py"))}
+    assert {p: n for p, n in remote.items() if n} == {"stages/fs_shuffle.py": 1}
+    fs = (PACKAGE / "stages" / "fs_shuffle.py").read_text()
+    fan_out = fs[fs.index("def fan_out("):fs.index("def fs_reduce(")]
+    assert "@ray.remote" in fan_out
+    offenders = [
+        path.relative_to(PACKAGE).as_posix()
+        for path in sorted((PACKAGE / "stages").rglob("*.py"))
+        if re.search(r"batch_size\s*=\s*1\b", path.read_text())
+    ]
     assert offenders == []

@@ -84,3 +84,20 @@ def test_pnml_arc_rows_stage_and_registry_entry():
     assert len(df) == 4 * 10  # 4 nets × (2 arcs × 5 transitions)
     assert set(df.columns) == {"net_id", "arc_id", "source", "target",
                                "src_kind", "dst_kind"}
+
+
+def test_synth_pnml_is_identical_across_processes():
+    """The net's seed must not come from ``hash(net_id)``: Python salts str
+    hashes per process, so ``q_pnml_arcs`` would differ between runs."""
+    import os
+    import pathlib
+    import subprocess
+
+    repo = str(pathlib.Path(__file__).resolve().parent.parent)
+    code = ("import sys; from ocel_ocpn_lakehouse_ray.functions.pnml import "
+            "synth_pnml; sys.stdout.buffer.write(synth_pnml('net_7', 6, 5))")
+    blobs = [subprocess.run([sys.executable, "-c", code], check=True,
+                            capture_output=True, cwd=repo,
+                            env={**os.environ, "PYTHONHASHSEED": s}).stdout
+             for s in ("1", "2")]
+    assert blobs[0] and blobs[0] == blobs[1]
