@@ -75,6 +75,8 @@ def decode_png(data: bytes) -> np.ndarray:
     stride = 1 + w * 3
     rows = raw.reshape(h, stride)
     filters = rows[:, 0]
+    if not filters.any():  # filter 0 on every scanline (our encoder): raw bytes
+        return rows[:, 1:].copy().reshape(h, w, 3)
     out = np.empty((h, w * 3), dtype=np.uint8)
     bpp = 3
     for y in range(h):

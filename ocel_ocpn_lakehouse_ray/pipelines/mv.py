@@ -62,7 +62,8 @@ class MaterializedView:
             if batches else _dataset_schema(result).empty_table()
         )
         # NOTE: MV results are aggregates (small); a fact-sized view would
-        # stream through append_dataset instead of a driver concat.
+        # write its fragments in fan_out tasks (as create_image_table does)
+        # instead of a driver concat.
         if not self.exists():
             LakeTable.create(self.root, data.schema,
                              TableConfig(target_fragment_bytes=128 * 1024 * 1024))

@@ -17,7 +17,6 @@ sampling), and one pyarrow kernel reads them inside Ray tasks.
 
 from __future__ import annotations
 
-import json
 import os
 import uuid
 
@@ -175,54 +174,6 @@ def write_table_as_fragments(
     return out
 
 
-META_SCHEMA = pa.schema(
-    [
-        ("fragment_id", pa.string()),
-        ("path", pa.string()),
-        ("rows", pa.int64()),
-        ("bytes", pa.int64()),
-        ("stats_json", pa.string()),
-    ]
-)
-
-
-def metas_to_batch(metas: list[FragmentMeta]) -> pa.Table:
-    return pa.table(
-        {
-            "fragment_id": [m.fragment_id for m in metas],
-            "path": [m.path for m in metas],
-            "rows": [m.rows for m in metas],
-            "bytes": [m.bytes for m in metas],
-            "stats_json": [json.dumps(m.stats) for m in metas],
-        },
-        schema=META_SCHEMA,
-    )
-
-
-def batch_to_metas(tbl: pa.Table) -> list[FragmentMeta]:
-    d = tbl.to_pydict()
-    return [
-        FragmentMeta(
-            fragment_id=d["fragment_id"][i],
-            path=d["path"][i],
-            rows=d["rows"][i],
-            bytes=d["bytes"][i],
-            stats=json.loads(d["stats_json"][i]),
-        )
-        for i in range(tbl.num_rows)
-    ]
-
-
-def write_batch_as_fragments(batch: pa.Table, *, root: str, target_bytes: int) -> pa.Table:
-    """``map_batches`` stage (stateless task): each incoming Arrow batch
-    becomes >=1 fragments; emits fragment-metadata rows (tiny) instead of
-    data — the dataset the driver collects to build the commit.  This is the
-    Ray-native version of the reference's staged write
-    (`ingest/daft_batch_ocel_loader.py:151-165`): fragments land in data/ but
-    are invisible until the manifest commit."""
-    return metas_to_batch(write_table_as_fragments(root, batch, target_bytes=target_bytes))
-
-
 # ------------------------------------------------------------------ reader
 
 
@@ -246,20 +197,32 @@ def _split_file(path: str, rg_rows: list[int], n: int) -> list[dict]:
     return out
 
 
-def _plan_pieces(paths: list[str], num_blocks: int | None) -> list[dict]:
-    """One read descriptor per file, unless more blocks than files are
-    asked for: then each file gets pieces in proportion to its rows, read
-    from the footers (the only I/O the driver does)."""
+PIECE_SCHEMA = pa.schema([("path", pa.string()),
+                          ("row_groups", pa.list_(pa.int64())),
+                          ("offset", pa.int64()), ("length", pa.int64())])
+
+
+def _plan_pieces(paths: list[str], num_blocks: int | None) -> list[pa.Table]:
+    """Read-descriptor blocks under ``PIECE_SCHEMA``: one descriptor per
+    file, unless more blocks than files are asked for, then each file gets
+    pieces in proportion to its rows, read from the footers (the only I/O
+    the driver does).  The descriptors are cut into ``num_blocks`` (default:
+    one per descriptor) contiguous blocks that all carry the one schema,
+    whether or not a block holds a split file."""
     if num_blocks is None or num_blocks <= len(paths):
-        return [_split_file(p, [], 1)[0] for p in paths]
-    metas = [pq.read_metadata(p) for p in paths]
-    per_piece = max(1, -(-sum(m.num_rows for m in metas) // num_blocks))
-    pieces = []
-    for p, m in zip(paths, metas):
-        n = min(m.num_rows, -(-m.num_rows // per_piece))
-        pieces += _split_file(
-            p, [m.row_group(i).num_rows for i in range(m.num_row_groups)], n)
-    return pieces
+        pieces = [_split_file(p, [], 1)[0] for p in paths]
+    else:
+        metas = [pq.read_metadata(p) for p in paths]
+        per_piece = max(1, -(-sum(m.num_rows for m in metas) // num_blocks))
+        pieces = []
+        for p, m in zip(paths, metas):
+            n = min(m.num_rows, -(-m.num_rows // per_piece))
+            pieces += _split_file(
+                p, [m.row_group(i).num_rows for i in range(m.num_row_groups)], n)
+    tbl = pa.Table.from_pylist(pieces, schema=PIECE_SCHEMA)
+    blocks = np.array_split(np.arange(len(pieces)),
+                            min(num_blocks or len(pieces), len(pieces)))
+    return [tbl.slice(b[0], len(b)) for b in blocks]
 
 
 def _read_pieces(batch: pa.Table, *, schema: pa.Schema, columns, filter,
@@ -298,17 +261,16 @@ def read_files(paths: list[str], *, columns: list[str] | None = None,
                num_blocks: int | None = None, include_paths: bool = False):
     """THE engine read: parquet files → ``ray.data.Dataset``.
 
-    The driver turns ``paths`` into read descriptors (a ``from_items``
-    dataset, one block per file or ``num_blocks`` blocks, see
-    ``_plan_pieces``) and ``_read_pieces`` reads them inside tasks, so the
-    data never passes through the driver and Ray's parquet planner (schema
-    unification, size sampling) never runs — at these file sizes its
-    per-call planning cost more than the read.  ``schema`` defaults to the
-    first file's.  Schema metadata is always dropped: a pandas-written
-    file's ``b'pandas'`` entry is a dict once parsed, so Ray's block concat
-    could not hash the schemas and would warn on every read.  ``filter`` is
-    a ``pyarrow.compute`` expression; it needs no projected column.
-    ``include_paths`` adds a ``path`` column."""
+    The driver turns ``paths`` into read-descriptor blocks (one per file
+    or ``num_blocks``, see ``_plan_pieces``) and ``_read_pieces`` reads
+    them inside tasks, so the data never passes through the driver and
+    Ray's parquet planner (schema unification, size sampling) never runs —
+    at these file sizes its per-call planning cost more than the read.
+    ``schema`` defaults to the first file's.  Schema metadata is always
+    dropped: a pandas-written file's ``b'pandas'`` entry is a dict once
+    parsed, so Ray's block concat could not hash the schemas and would warn
+    on every read.  ``filter`` is a ``pyarrow.compute`` expression; it needs
+    no projected column.  ``include_paths`` adds a ``path`` column."""
     import ray.data
 
     paths = [os.path.abspath(p) for p in paths]
@@ -316,10 +278,7 @@ def read_files(paths: list[str], *, columns: list[str] | None = None,
     if not paths:
         tbl = schema.empty_table()
         return ray.data.from_arrow(tbl.select(columns) if columns else tbl)
-    pieces = _plan_pieces(paths, num_blocks)
-    return ray.data.from_items(
-        pieces, override_num_blocks=min(num_blocks or len(pieces), len(pieces))
-    ).map_batches(
+    return ray.data.from_blocks(_plan_pieces(paths, num_blocks)).map_batches(
         _read_pieces, batch_format="pyarrow",
         fn_kwargs=dict(schema=schema, columns=columns, filter=filter,
                        include_paths=include_paths))

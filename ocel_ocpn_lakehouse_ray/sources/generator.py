@@ -4,10 +4,13 @@ pure function of (seed, row index), so any worker, any retry, any process
 regenerates identical bytes — the property the scan-equivalence oracle and the
 resume tests rely on.
 
-Ray-side shape: ``ray.data.range(n) → map_batches(gen_batch)`` — the generator
-is itself a batch transform, the same pattern as any decode/synthesis stage
-(reference S1's whole-file json.load, `ingest/complete_ocel_loader.py:107-110`,
-re-expressed as a streaming source).
+Ray-side shape: ``gen_batch`` is a pure batch transform over row ids, the
+same pattern as any decode/synthesis stage (reference S1's whole-file
+json.load, `ingest/complete_ocel_loader.py:107-110`).  The MERGE delta streams
+it as ``ray.data.range(n) → map_batches``; ``create_image_table`` runs the
+reference's staged write (`ingest/daft_batch_ocel_loader.py:151-165`) as one
+``fan_out`` task per cluster CPU, each generating and writing a contiguous run
+of fragments that stay invisible until the driver's single manifest commit.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import pyarrow as pa
 from ..functions.codec import encode_image
 from ..functions.hashing import mix2, splitmix64
 from ..table import IMAGE_SCHEMA
+from .fragments import write_table_as_fragments
 
 SIZES = np.array([32, 48, 64, 96, 128], dtype=np.int32)
 HOT_PHASHES = np.array(
@@ -189,18 +193,6 @@ def gen_update_pixels(ids: np.ndarray, seed: int = 42):
     return meta, pixels
 
 
-def synth_images_dataset(n: int, seed: int = 42, num_blocks: int | None = None):
-    """Streaming synthetic source: range(n) → gen_batch."""
-    import ray.data
-
-    ds = ray.data.range(n, override_num_blocks=num_blocks)
-    return ds.map_batches(
-        lambda b: gen_batch(b["id"], seed),
-        batch_format="numpy",
-        batch_size=None,
-    )
-
-
 def merge_source_dataset(n: int, seed: int = 42, num_blocks: int | None = None):
     """F2 delta dataset: ~5 % updates of [0, n) + ~5 % fresh inserts
     (``img_9...`` ids, FIXTURES.md F2).
@@ -246,7 +238,10 @@ def create_image_table(
     """Bootstrap a toy-scale table written as deliberately many small fragments
     (forces the reference's small-file condition, `ops/maintenance_system.py:58`,
     at toy scale — FIXTURES.md F1 sizing tiers)."""
+    import ray
+
     from ..config import TableConfig
+    from ..stages.fs_shuffle import fan_out
     from ..table import LakeTable
 
     if config is None:
@@ -260,5 +255,22 @@ def create_image_table(
         target = min(256 << 20, max(1 << 20, est_total // 64))
         config = TableConfig(target_fragment_bytes=target, small_file_bytes=target // 4)
     t = LakeTable.create(root, IMAGE_SCHEMA, config)
-    ds = synth_images_dataset(n, seed, num_blocks=num_fragments)
-    return t.append_dataset(ds)
+    # chunks of n // num_fragments ids, as Ray's range datasource splits n:
+    # a remainder adds chunks (1050 rows in 100 fragments gives 105)
+    size = max(1, n // num_fragments)
+    chunks = np.array([(i, min(size, n - i)) for i in range(0, n, size)])
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    groups = np.array_split(chunks, min(cpus, len(chunks)) or 1)
+    metas = [m for ms in fan_out(_write_chunks, [
+        (root, g, seed, t.config.target_fragment_bytes) for g in groups])
+        for m in ms]
+    return t.commit(operation="append", add=metas, remove_ids=set(),
+                    summary={"added_fragments": len(metas),
+                             "added_rows": sum(m.rows for m in metas)})
+
+
+def _write_chunks(root: str, chunks: np.ndarray, seed: int, target_bytes: int) -> list:
+    """One ``create_image_table`` task: generate and write each (first id,
+    rows) chunk as fragments; returns their metadata in chunk order."""
+    return [m for lo, rows in chunks for m in write_table_as_fragments(
+        root, gen_batch(np.arange(lo, lo + rows), seed), target_bytes=target_bytes)]

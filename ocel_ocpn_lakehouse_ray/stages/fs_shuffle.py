@@ -28,7 +28,8 @@ journaled result without rewriting).
 ``fan_out`` is the engine's one task fan-out, and the only place it declares
 a Ray task: the reduce side here, compaction's and DELETE/UPDATE's bin
 rewrites (``compaction.rewrite_bins``), cow MERGE's insert pass, export
-shards and clustering's key sample all run through it, so every job lets
+shards, clustering's key sample and the seed-table build
+(``generator.create_image_table``) all run through it, so every job lets
 each sibling task finish — and journal — before a failure surfaces."""
 
 from __future__ import annotations

@@ -373,26 +373,6 @@ class LakeTable:
         return self.commit(operation="append", add=metas, remove_ids=set(),
                            summary={"added_fragments": len(metas), "added_rows": tbl.num_rows})
 
-    def append_dataset(self, ds) -> "LakeTable":
-        """Distributed append: fragment-writer tasks persist fragments, the
-        driver collects the (tiny) metadata dataset and commits once — the
-        real two-phase staged-write→commit (reference S6)."""
-        from .sources.fragments import batch_to_metas, write_batch_as_fragments
-
-        meta_ds = ds.map_batches(
-            write_batch_as_fragments,
-            fn_kwargs=dict(root=self.root,
-                           target_bytes=self.config.target_fragment_bytes),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-        metas = []
-        for b in meta_ds.iter_batches(batch_format="pyarrow"):
-            metas.extend(batch_to_metas(b))
-        return self.commit(operation="append", add=metas, remove_ids=set(),
-                           summary={"added_fragments": len(metas),
-                                    "added_rows": sum(m.rows for m in metas)})
-
     # ------------------------------------------------------------ history
     def history(self) -> list[mf.Manifest]:
         return [mf.load_manifest(self.root, v, branch=self.branch)

@@ -53,10 +53,11 @@ def test_pure_insert_merge_does_not_duplicate_table(tmp_path):
 
 # ------------------------------------------- 2. spec-conformant PNG filtering
 
-def _encode_png_with_filter(arr: np.ndarray, ftype: int) -> bytes:
-    """Reference PNG encoder applying one filter type to every scanline using
-    the spec's mod-256 byte arithmetic (RFC 2083 §6) — produces the bytes an
-    external conformant encoder would emit."""
+def _encode_png_with_filter(arr: np.ndarray, filt_type) -> bytes:
+    """Reference PNG encoder applying one filter type to every scanline (or,
+    for ``"mixed"``, types 0-4 in turn) using the spec's mod-256 byte
+    arithmetic (RFC 2083 §6) — produces the bytes an external conformant
+    encoder would emit."""
     h, w, _ = arr.shape
     bpp = 3
     flat = arr.reshape(h, w * bpp).astype(np.int32)
@@ -64,6 +65,7 @@ def _encode_png_with_filter(arr: np.ndarray, ftype: int) -> bytes:
     prev = np.zeros(w * bpp, np.int32)
     for y in range(h):
         cur = flat[y]
+        ftype = y % 5 if filt_type == "mixed" else filt_type
         if ftype == 0:
             filt = cur % 256
         elif ftype == 1:
@@ -97,7 +99,7 @@ def _encode_png_with_filter(arr: np.ndarray, ftype: int) -> bytes:
     )
 
 
-@pytest.mark.parametrize("ftype", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("ftype", [0, 1, 2, 3, 4, "mixed"])
 def test_decode_png_externally_filtered(ftype):
     # values near 255 force intermediate sums past 255 — the case the unreduced
     # Average/Paeth reconstruction got wrong (ADVICE med: codec.py)

@@ -32,7 +32,8 @@ def test_png_roundtrip_lossless():
     rng = np.random.default_rng(7)
     for h, w in [(1, 1), (5, 3), (48, 64), (128, 128)]:
         arr = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
-        assert (decode_png(encode_png(arr)) == arr).all()
+        got = decode_png(encode_png(arr))
+        assert (got == arr).all() and got.flags.writeable and got.flags.c_contiguous
 
 
 def test_png_decode_filters_1_and_2():

@@ -16,7 +16,7 @@ import pyarrow.parquet as pq
 import pytest
 from ray.data import DataContext
 
-from ocel_ocpn_lakehouse_ray.sources.fragments import read_files
+from ocel_ocpn_lakehouse_ray.sources.fragments import _plan_pieces, read_files
 from ocel_ocpn_lakehouse_ray.sources.generator import create_image_table, gen_batch
 from ocel_ocpn_lakehouse_ray.stages.evolution import evolve_schema
 from ocel_ocpn_lakehouse_ray.table import LakeTable
@@ -82,6 +82,21 @@ def test_schema_adds_a_null_column(files, num_blocks, ordered):
                              for p in files])
     assert got.equals(want)
     assert got["extra"].null_count == 2 * ROWS
+
+
+def test_descriptor_blocks_share_one_schema(tmp_path, ordered):
+    """Whole-file and split-file descriptors land in blocks of one schema,
+    so Ray Data never sees a block's schema change mid-read."""
+    paths = []
+    for name, lo, n in (("big", 0, 400), ("a", 400, 10), ("b", 410, 10)):
+        paths.append(str(tmp_path / f"{name}.parquet"))
+        pq.write_table(pa.table({"k": pa.array(np.arange(lo, lo + n), pa.int64())}),
+                       paths[-1])
+    blocks = _plan_pieces(paths, 6)
+    assert len(blocks) == 6 and len({b.schema for b in blocks}) == 1
+    assert blocks[0]["length"].null_count == 0 and blocks[-1]["length"].null_count == 1
+    want = pa.concat_tables([pq.read_table(p) for p in paths])
+    assert _rows(read_files(paths, num_blocks=6)).equals(want)
 
 
 def test_include_paths_and_metadata_dropped(files, ordered):

@@ -8,11 +8,7 @@ import pyarrow as pa
 import pytest
 
 from ocel_ocpn_lakehouse_ray.config import TableConfig
-from ocel_ocpn_lakehouse_ray.sources.generator import (
-    create_image_table,
-    gen_batch,
-    synth_images_dataset,
-)
+from ocel_ocpn_lakehouse_ray.sources.generator import create_image_table, gen_batch
 from ocel_ocpn_lakehouse_ray.state import manifest as mf
 from ocel_ocpn_lakehouse_ray.table import IMAGE_SCHEMA, LakeTable
 
@@ -53,6 +49,40 @@ def test_distributed_append_and_exact_roundtrip(tmp_table_root):
     got = t.to_dataset(columns=["image_id", "caption"]).to_pandas().sort_values("image_id")
     exp = gen_batch(np.arange(300)).select(["image_id", "caption"]).to_pandas().sort_values("image_id")
     assert got["caption"].tolist() == exp["caption"].tolist()
+
+
+@pytest.mark.parametrize("n,num_fragments,rows", [
+    (1050, 100, [10] * 105), (1000, 16, [62] * 16 + [8])])
+def test_seed_table_build(tmp_table_root, monkeypatch, n, num_fragments, rows):
+    """create_image_table splits n // num_fragments ids per fragment (a
+    remainder adds fragments), lists them in id order, writes gen_batch of
+    each fragment's ids, and runs at most one fan_out task per cluster CPU
+    and no Ray Data execution."""
+    import pyarrow.parquet as pq
+    import ray
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from ocel_ocpn_lakehouse_ray.stages import fs_shuffle
+
+    tasks, real_fan_out = [], fs_shuffle.fan_out
+
+    def counted(fn, calls):
+        tasks.append(len(calls))
+        return real_fan_out(fn, calls)
+
+    def no_ray_data(*_, **__):
+        raise AssertionError("the seed build ran a Ray Data execution")
+
+    monkeypatch.setattr(fs_shuffle, "fan_out", counted)
+    monkeypatch.setattr(StreamingExecutor, "execute", no_ray_data)
+    t = create_image_table(tmp_table_root, n, num_fragments=num_fragments)
+    assert len(tasks) == 1 and tasks[0] <= ray.cluster_resources()["CPU"]
+    assert [f.rows for f in t.fragments] == rows
+    lo = 0
+    for f, r in zip(t.fragments, rows):
+        got = pq.read_table(os.path.join(tmp_table_root, f.path))
+        assert got.equals(gen_batch(np.arange(lo, lo + r)))
+        lo += r
 
 
 def test_snapshot_pinned_read_is_immutable(tmp_table_root):
