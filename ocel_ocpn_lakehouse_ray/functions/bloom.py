@@ -101,7 +101,7 @@ def read_sidecar(path: str) -> tuple[np.ndarray, int]:
     # The probe masks indices with (m_bits - 1); a truncated/corrupt sidecar
     # whose bit length is not a power of two would produce FALSE NEGATIVES
     # (wrongly pruned fragments → duplicate keys after MERGE).  Reject it so
-    # callers fall back to the conservative "touched" treatment.
+    # callers probe that fragment by its key range only.
     if m_bits < MIN_BITS or (m_bits & (m_bits - 1)) != 0:
         raise ValueError(f"corrupt bloom sidecar (bit length {m_bits}): {path}")
     return bits, k

@@ -37,7 +37,8 @@ Two paths:
     write every range as a base run, remove every fragment.  It runs for a
     table without stamps of the requested order and key version, with an
     explicit ``num_partitions``, or when unstamped bytes pass
-    UNPLACED_SHARE of the table.
+    UNPLACED_SHARE of the table.  The fingerprint covers every fragment id,
+    so a resume after any other commit raises.
   * **incremental** (DISC, ICDE 2021: re-stride only the region an update
     touched) — the ranges come from the stamps (``incremental_plan``); only
     the unstamped fragments' rows are read and routed.  Each range that
@@ -303,7 +304,10 @@ def run_clustering(table, *, order: str | None = None, job_id: str | None = None
                     "boundaries": sample_boundaries(table, order, P),
                     "base_version": table.version}
 
-        fp = lineage.fingerprint(order, num_partitions, KEY_VERSION)
+        # the inputs are the whole table: a resume after another commit
+        # changed it must not skip ranges journaled from the old fragments
+        fp = lineage.fingerprint(order, num_partitions, KEY_VERSION,
+                                 sorted(f.fragment_id for f in table.fragments))
     else:
         def plan() -> dict:
             return {"order": order, "num_parts": len(inc["ranges"]),

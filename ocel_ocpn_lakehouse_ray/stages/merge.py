@@ -10,11 +10,14 @@ semantics as staged files plus one commit:
 
   1. **Stage** — the source pipeline runs exactly once, written as parquet
      into the job's journal area; a resume before the commit reuses it.
-  2. **Touched-fragment pruning** — the source's image_id key set is tested
-     against each fragment's manifest min/max image_id stats and key Bloom
-     sidecar; fragments that can hold no source key pass through the commit
-     UNREAD.  Past ``MAX_DRIVER_KEYS`` source rows the same probe runs
-     distributed (``prune_touched_distributed``).
+  2. **Touched-fragment pruning** — one probe (``probe_keys``) tests the
+     source's image_id keys against each fragment's manifest min/max
+     image_id stats, then the in-range keys against its key Bloom sidecar;
+     fragments that can hold no source key pass through the commit UNREAD.
+     Scale: O(n log n + F log n + candidates) for n keys and F fragments.
+     Past ``MAX_DRIVER_KEYS`` source rows the same probe runs in Ray tasks
+     per batch of the staged source (``prune_touched_distributed``), as the
+     rewrite's route does per batch.
   3. **Rewrite** — one plan, copy-on-write over bins of touched fragments
      (stages/merge_cow.py): only source rows move through an exchange, each
      bin's task rewrites its fragments in place, and a clustered fragment
@@ -34,102 +37,112 @@ import time
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..state import lineage
 
 # Staged source rows whose keys the driver collects for fragment pruning;
-# past it the touched set comes from the distributed bloom probe instead
-# (tests shrink this to force that path).
+# past it the same probe runs in Ray tasks instead (tests shrink this to
+# force that path).
 MAX_DRIVER_KEYS = 5_000_000
 # Bumped when the rewrite's partitions change meaning: a journal written
 # under another version never resumes.
 PLAN_VERSION = 2
 
 
-def prune_touched_fragments(fragments, source_keys: np.ndarray, root: str | None = None):
-    """Split fragments into (touched, untouched): first by manifest image_id
-    min/max range stats, then — for range-overlapping fragments that carry a
-    key Bloom sidecar (functions/bloom.py) — by probing the in-range source
-    keys against the bloom.  A fragment whose bloom misses EVERY source key
-    definitely contains none of them (blooms have no false negatives)."""
+def probe_descriptors(fragments, root: str | None = None) -> list[tuple]:
+    """One ``probe_keys`` descriptor per fragment, ``(min, max, bloom_bits,
+    k)``: its image_id range stats (None without them) and its key Bloom
+    sidecar (None without ``root``, or when the sidecar is missing or
+    corrupt, which leaves that fragment range-only)."""
     from ..functions import bloom as bl
 
-    keys = np.sort(np.asarray(source_keys))
-    h1 = h2 = None  # key hashes computed lazily ONCE, reused for every bloom
-    touched, untouched = [], []
+    out = []
     for f in fragments:
-        st = f.stats.get("image_id")
-        if not st or st.get("min") is None:
-            touched.append(f)
-            continue
-        lo = np.searchsorted(keys, st["min"], side="left")
-        hi = np.searchsorted(keys, st["max"], side="right")
-        if lo >= hi:  # key range disjoint from the source
-            untouched.append(f)
-            continue
+        st = f.stats.get("image_id") or {}
         binfo = f.stats.get("__bloom")
+        bits, k = None, bl.NUM_HASHES
         if root is not None and binfo:
             try:
                 bits, k = bl.read_sidecar_cached(os.path.join(root, binfo["path"]))
             except (OSError, ValueError):
-                touched.append(f)  # sidecar missing/corrupt → conservative
-                continue
+                pass  # missing or corrupt: range-only
+        out.append((st.get("min"), st.get("max"), bits, k))
+    return out
+
+
+def probe_keys(frags, keys):
+    """Yield ``(fragment index, row indices into keys)`` for each fragment
+    of ``frags`` (``probe_descriptors``) that may hold any of ``keys``, one
+    fragment at a time and in fragment order; the rows come in key order.
+
+    The keys are sorted once and every fragment's min and max are located in
+    them by one vectorised ``searchsorted``, so a fragment's in-range keys
+    are one slice; a fragment without range stats takes every key.  Only
+    those keys are then probed against the fragment's Bloom filter (none:
+    range-only), with the key hashes computed once per call.  Cost per call:
+    O(n log n + F log n + candidates) for n keys and F fragments."""
+    from ..functions import bloom as bl
+
+    keys = np.asarray(keys, dtype=object)
+    # arrow sorts in C; numpy's object argsort compares Python strings
+    order = pc.sort_indices(pa.array(keys)).to_numpy()
+    sk = keys[order]
+    lo = np.zeros(len(frags), np.int64)
+    hi = np.full(len(frags), len(sk), np.int64)
+    ranged = [i for i, f in enumerate(frags) if f[0] is not None]
+    if ranged:
+        lo[ranged] = np.searchsorted(
+            sk, np.array([frags[i][0] for i in ranged], dtype=object), side="left")
+        hi[ranged] = np.searchsorted(
+            sk, np.array([frags[i][1] for i in ranged], dtype=object), side="right")
+    h1 = h2 = None
+    for i in np.nonzero(lo < hi)[0]:
+        a, b = lo[i], hi[i]
+        rows = order[a:b]
+        bits, k = frags[i][2], frags[i][3]
+        if bits is not None:
             if h1 is None:
-                h1, h2 = bl.key_hashes(keys)
-            if not bl.might_contain_hashes(bits, h1[lo:hi], h2[lo:hi], k).any():
-                untouched.append(f)
-                continue
-        touched.append(f)
-    return touched, untouched
+                h1, h2 = bl.key_hashes(sk)
+            rows = rows[bl.might_contain_hashes(bits, h1[a:b], h2[a:b], k)]
+        if rows.size:
+            yield int(i), rows
+
+
+def prune_touched_fragments(fragments, source_keys, root: str | None = None):
+    """Split fragments into (touched, untouched): a fragment is touched when
+    ``probe_keys`` finds any source key it may hold, by its image_id range
+    and, with ``root``, its key Bloom sidecar (blooms have no false
+    negatives, so an untouched fragment holds none of the keys)."""
+    hit = {i for i, _ in probe_keys(probe_descriptors(fragments, root),
+                                    source_keys)}
+    return ([f for i, f in enumerate(fragments) if i in hit],
+            [f for i, f in enumerate(fragments) if i not in hit])
 
 
 def prune_touched_distributed(table, src_files, *, batch_size: int = 65536):
-    """Touched-fragment ids for sources too large for a driver key set:
-    every fragment's (tiny) bloom + key range is broadcast once, and Ray
-    tasks stream the staged source key column, probing each batch against
-    each bloom; the driver unions only fragment-id hits.  Fragments without
-    a bloom sidecar are conservatively touched."""
+    """Touched-fragment ids for sources too large for a driver key set: the
+    fragments' (tiny) probe descriptors are broadcast once, and Ray tasks
+    stream the staged source key column through ``probe_keys``; the driver
+    unions only fragment-id hits, so it touches what
+    ``prune_touched_fragments`` would."""
     import ray
 
-    from ..functions import bloom as bl
     from ..sources.fragments import read_files
 
-    blooms, touched = {}, set()
-    for f in table.fragments:
-        st = f.stats.get("image_id") or {}
-        binfo = f.stats.get("__bloom")
-        if not binfo:
-            touched.add(f.fragment_id)
-            continue
-        try:
-            bits, k = bl.read_sidecar_cached(os.path.join(table.root, binfo["path"]))
-        except (OSError, ValueError):
-            touched.add(f.fragment_id)
-            continue
-        blooms[f.fragment_id] = (bits, k, st.get("min"), st.get("max"))
-    if not blooms:
-        return sorted(touched)
-    ref = ray.put(blooms)
+    ref = ray.put(([f.fragment_id for f in table.fragments],
+                   probe_descriptors(table.fragments, table.root)))
 
     def probe(batch):
         import ray as _r
 
-        bmap = _r.get(ref)
-        ks = np.sort(np.asarray(batch["image_id"].to_pylist(), dtype=object))
-        h1, h2 = bl.key_hashes(ks)  # hash once, probe every bloom
-        hits = []
-        for fid, (bits, k, mn, mx) in bmap.items():
-            if mn is not None:
-                lo = np.searchsorted(ks, mn, side="left")
-                hi = np.searchsorted(ks, mx, side="right")
-            else:
-                lo, hi = 0, len(ks)
-            if lo < hi and bl.might_contain_hashes(bits, h1[lo:hi], h2[lo:hi], k).any():
-                hits.append(fid)
+        ids, descs = _r.get(ref)
+        hits = [ids[i] for i, _ in probe_keys(descs, batch["image_id"].to_pylist())]
         return pa.table({"fragment_id": pa.array(hits, pa.string())})
 
     ds = read_files(src_files, columns=["image_id"])
     hit_ds = ds.map_batches(probe, batch_format="pyarrow", batch_size=batch_size)
+    touched = set()
     for b in hit_ds.iter_batches(batch_format="pyarrow"):
         touched.update(b["fragment_id"].to_pylist())
     return sorted(touched)
@@ -199,15 +212,11 @@ def run_merge(table, source_ds, *, job_id: str | None = None,
                        "touched_fragments": 0,
                        "untouched_fragments": len(table.fragments)}
     if src_rows > MAX_DRIVER_KEYS:
-        # source keys won't fit on the driver → distributed bloom probe
-        # (fragments lacking blooms are conservatively touched)
+        # source keys won't fit on the driver → the probe runs in tasks
         touched_ids = prune_touched_distributed(table, src_files)
     else:
-        key_tbls = [pq.read_table(p, columns=["image_id"]) for p in src_files]
-        src_keys = (
-            pa.concat_tables(key_tbls)["image_id"].to_numpy(zero_copy_only=False)
-            if key_tbls else np.array([], dtype=object)
-        )
+        src_keys = pa.concat_tables(
+            pq.read_table(p, columns=["image_id"]) for p in src_files)["image_id"]
         touched, _ = prune_touched_fragments(table.fragments, src_keys,
                                              root=table.root)
         touched_ids = sorted(f.fragment_id for f in touched)

@@ -39,16 +39,16 @@ in T, write T).  On the bench box the single ~430 MB/s disk is the rewrite
 jobs' scaling floor (BASELINE.md), so bytes through disk are the cost.
 
 Scale notes: the routing table broadcast is (min, max, bloom_bits) per
-TOUCHED fragment — bounded by the merge's blast radius, not the table — plus
-an elementary-segment interval index (build_interval_index) so each batch
-routes in O(n log F + candidates) instead of scanning every touched fragment;
-at millions of touched fragments the per-batch work stays proportional to the
-keys' actual overlap, with a linear fallback only under pathological range
-overlap (cap documented on the builder).  A key may appear once in the
-source: every row of a key routes to the same tasks, so each task's check
-(``_check_unique_keys``) is exact.  Duplicate keys ACROSS table fragments
-(which the verify gate forbids) would be updated in every fragment that
-holds them rather than collapsed to one row.
+TOUCHED fragment — bounded by the merge's blast radius, not the table — and
+each batch routes through the same probe that pruned the touched set
+(``merge.probe_keys``): the batch's n keys are sorted once, every touched
+fragment's range is one slice of them, and only in-range keys meet a bloom,
+so a batch costs O(n log n + F log n + candidates) over F touched
+fragments.  A key may appear once in the source: every row of a key routes
+to the same tasks, so each task's check (``_check_unique_keys``) is exact.
+Duplicate keys ACROSS table fragments (which the verify gate forbids) would
+be updated in every fragment that holds them rather than collapsed to one
+row.
 """
 
 from __future__ import annotations
@@ -61,10 +61,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..functions import bloom as bl
 from ..state import lineage
 from .clustering import STAMP, write_in_range
 from .compaction import first_fit
+from .merge import probe_descriptors, probe_keys
 from .shuffle import PART_COL, assign_hash_part
 
 BIN_COL = "__bin"     # int32 bin index; negative = insert partition
@@ -96,79 +96,6 @@ def _sidecars(root: str, job_id: str, kind: str) -> list[str]:
         os.path.join(lineage.journal_dir(root, job_id), kind, "*.parquet")))
 
 
-def build_interval_index(frags):
-    """Elementary-segment interval index over the touched fragments' key
-    ranges — the sub-linear routing structure the module's scale note calls
-    for.  ``pts`` is the sorted distinct set of all fragment min/max bounds;
-    segment ``j`` covers keys in ``[pts[j], pts[j+1])`` (the last segment is
-    open-ended) and ``seg_lists[j]`` holds the fragment indices whose range
-    intersects that segment.  A key routes via ONE binary search; segment
-    membership over-approximates only within the segment that starts at a
-    fragment's max bound, and the caller re-checks exact min/max on the
-    candidate rows, so no false negatives and bounded false positives.
-
-    Returns None (→ linear fallback) when no fragment has bounds or when
-    heavy range overlap would blow the index up quadratically (cap: 64
-    fragment entries per segment on average)."""
-    bounded = [(i, f[2], f[3]) for i, f in enumerate(frags) if f[2] is not None]
-    unbounded = [i for i, f in enumerate(frags) if f[2] is None]
-    if not bounded:
-        return None
-    pts = np.array(sorted({b for _, mn, mx in bounded for b in (mn, mx)}),
-                   dtype=object)
-    seg_lists: list[list[int]] = [[] for _ in range(len(pts))]
-    total = 0
-    cap = 64 * len(bounded)
-    for i, mn, mx in bounded:
-        jm = int(np.searchsorted(pts, mn, side="right")) - 1
-        jM = int(np.searchsorted(pts, mx, side="right")) - 1
-        total += jM - jm + 1
-        if total > cap:
-            return None  # pathological overlap → linear scan is no worse
-        for j in range(jm, jM + 1):
-            seg_lists[j].append(i)
-    return pts, seg_lists, unbounded
-
-
-def candidate_rows(index, frags, keys_np: np.ndarray) -> dict[int, np.ndarray]:
-    """fragment index → row indices of keys whose value lies inside that
-    fragment's exact [min, max] range.  With an index the per-batch work is
-    O(n log F + total candidates) — independent of the touched-fragment
-    count F; without one it degrades to the linear per-fragment scan."""
-    n = len(keys_np)
-    out: dict[int, np.ndarray] = {}
-    if index is None:
-        for fidx, (_fid, _p, mn, mx, _b, _k) in enumerate(frags):
-            if mn is None:
-                out[fidx] = np.arange(n)
-                continue
-            m = (keys_np >= mn) & (keys_np <= mx)
-            if m.any():
-                out[fidx] = np.nonzero(m)[0]
-        return out
-    pts, seg_lists, unbounded = index
-    for fidx in unbounded:
-        out[fidx] = np.arange(n)
-    seg = np.searchsorted(pts, keys_np, side="right") - 1
-    uniq, inv = np.unique(seg, return_inverse=True)
-    acc: dict[int, list] = {}
-    for si, s in enumerate(uniq):
-        if s < 0:
-            continue  # key below every fragment's min
-        rows = np.nonzero(inv == si)[0]
-        for fidx in seg_lists[int(s)]:
-            acc.setdefault(fidx, []).append(rows)
-    for fidx, parts in acc.items():
-        rows = np.concatenate(parts) if len(parts) > 1 else parts[0]
-        mn, mx = frags[fidx][2], frags[fidx][3]
-        k = keys_np[rows]
-        rows = rows[(k >= mn) & (k <= mx)]
-        if rows.size:
-            rows.sort()
-            out[fidx] = rows
-    return out
-
-
 def plan_bins(touched, target_bytes: int) -> list[list]:
     """The rewrite bins: the unstamped touched fragments packed by
     ``first_fit``, then each stamped one alone.  Deterministic in the
@@ -180,30 +107,17 @@ def plan_bins(touched, target_bytes: int) -> list[list]:
 
 
 def _routing_ref(table, bins):
-    """Broadcast payload: per touched fragment (id, path, min, max, bloom)
-    and its bin, the interval index built ONCE here on the driver, and the
-    unstamped bins that take pure inserts."""
+    """Broadcast payload: a ``probe_keys`` descriptor per touched fragment
+    and its bin, and the unstamped bins that take pure inserts."""
     import ray
 
-    frags, bin_of = [], []
-    for b, members in enumerate(bins):
-        for f in members:
-            st = f.stats.get("image_id") or {}
-            bits = None
-            k = bl.NUM_HASHES
-            binfo = f.stats.get("__bloom")
-            if binfo:
-                try:
-                    bits, k = bl.read_sidecar(os.path.join(table.root, binfo["path"]))
-                except (OSError, ValueError):
-                    bits = None  # corrupt/missing sidecar → range-only routing
-            frags.append((f.fragment_id, f.path, st.get("min"), st.get("max"),
-                          bits, k))
-            bin_of.append(b)
     open_bins = [b for b, members in enumerate(bins)
                  if STAMP not in members[0].stats]
-    return ray.put({"frags": frags, "index": build_interval_index(frags),
-                    "bin_of": bin_of, "open_bins": open_bins})
+    return ray.put({
+        "frags": probe_descriptors([f for members in bins for f in members],
+                                   table.root),
+        "bin_of": [b for b, members in enumerate(bins) for _ in members],
+        "open_bins": open_bins})
 
 
 def _tag(tbl: pa.Table, bin_ids: np.ndarray, insert: bool) -> pa.Table:
@@ -213,10 +127,10 @@ def _tag(tbl: pa.Table, bin_ids: np.ndarray, insert: bool) -> pa.Table:
 
 def _route_batches(payload_ref, insert_parts: int, key_col: str = "image_id"):
     """map_batches fn: one output row per (source row, candidate bin), with
-    BIN_COL the bin's index.  Key hashes are computed once per batch and
-    sliced per fragment for the bloom probes.  A row no fragment claims goes
-    out once with INS_COL set, hash-salted by key into an unstamped bin, or
-    into insert partition -1 .. -insert_parts when there is none."""
+    BIN_COL the bin's index; the candidates come from ``probe_keys`` over
+    the batch's keys.  A row no fragment claims goes out once with INS_COL
+    set, hash-salted by key into an unstamped bin, or into insert partition
+    -1 .. -insert_parts when there is none."""
 
     def route(batch: pa.Table) -> pa.Table:
         import ray as _r
@@ -229,17 +143,9 @@ def _route_batches(payload_ref, insert_parts: int, key_col: str = "image_id"):
         if batch.num_rows == 0:
             return out_schema.empty_table()
         n = batch.num_rows
-        keys_np = np.asarray(batch[key_col].to_pylist(), dtype=object)
-        h1 = h2 = None
         by_bin: dict[int, np.ndarray] = {}
-        for fidx, rows in candidate_rows(payload["index"], frags, keys_np).items():
-            bits, k = frags[fidx][4], frags[fidx][5]
-            if bits is not None and rows.size:
-                if h1 is None:
-                    h1, h2 = bl.key_hashes(keys_np)
-                rows = rows[bl.might_contain_hashes(bits, h1[rows], h2[rows], k)]
-            if rows.size:
-                by_bin.setdefault(bin_of[fidx], np.zeros(n, bool))[rows] = True
+        for fidx, rows in probe_keys(frags, batch[key_col].to_pylist()):
+            by_bin.setdefault(bin_of[fidx], np.zeros(n, bool))[rows] = True
         claimed = np.zeros(n, bool)
         outs = []
         for b, mask in sorted(by_bin.items()):

@@ -100,6 +100,51 @@ def test_prune_distributed_direct(tmp_path):
     assert len(touched) == 1
 
 
+def _mixed_table(root):
+    """The even/odd pair, a fragment whose sidecar is corrupt (keys 1000–1099)
+    and a range-disjoint fragment whose ``__bloom`` stat is stripped (keys
+    5000–5099)."""
+    from ocel_ocpn_lakehouse_ray.sources.fragments import write_table_as_fragments
+
+    t = _interleaved_table(root)
+    t = t.append_arrow(gen_batch(np.arange(1000, 1100), SEED),
+                       name_parts=("corrupt", "0"))
+    (corrupt,) = [f for f in t.fragments
+                  if f.stats["image_id"]["min"] == "img_000000001000"]
+    with open(os.path.join(root, corrupt.stats["__bloom"]["path"]), "wb") as f:
+        f.write(bloom.MAGIC + np.uint32(bloom.NUM_HASHES).tobytes() + b"\0" * 3)
+    metas = write_table_as_fragments(
+        root, gen_batch(np.arange(5000, 5100), SEED),
+        target_bytes=t.config.target_fragment_bytes, name_parts=("bare", "0"))
+    for m in metas:
+        os.remove(os.path.join(root, m.stats.pop("__bloom")["path"]))
+    return t.commit(operation="append", add=metas, remove_ids=set())
+
+
+def test_driver_and_distributed_pruning_agree(tmp_path, monkeypatch):
+    """The driver prune and the distributed one (MAX_DRIVER_KEYS=0) touch the
+    same fragments and commit the same rows: a corrupt sidecar means
+    range-only, and a fragment without a bloom stat is still pruned by its
+    range."""
+    from ocel_ocpn_lakehouse_ray.stages import merge
+
+    src = pa.concat_tables([
+        gen_update_batch(np.arange(0, 40, 2), SEED),       # even fragment
+        gen_update_batch(np.arange(1000, 1005), SEED),     # corrupt sidecar
+        gen_batch(np.arange(3000, 3005), SEED + 1)])       # pure inserts
+    out = {}
+    for limit in (merge.MAX_DRIVER_KEYS, 0):
+        monkeypatch.setattr(merge, "MAX_DRIVER_KEYS", limit)
+        t = _mixed_table(str(tmp_path / f"t{limit}"))
+        assert len(t.fragments) == 4
+        t2, rep = run_merge(t, ray.data.from_arrow(src), job_id="m-parity")
+        out[limit] = (rep["touched_fragments"], rep["untouched_fragments"],
+                      t2.to_arrow().sort_by("image_id"))
+    (touched, untouched, rows), (d_touched, d_untouched, d_rows) = out.values()
+    assert (touched, untouched) == (d_touched, d_untouched) == (2, 2)
+    assert rows.num_rows == 405 and rows.equals(d_rows)
+
+
 def test_gc_tracks_bloom_sidecars(tmp_path):
     root = str(tmp_path / "t")
     t = _interleaved_table(root)

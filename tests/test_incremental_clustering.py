@@ -417,3 +417,41 @@ def test_update_of_the_key_unstamps_only_the_movers(zordered):
             movers += 1
     assert 0 < movers < rep["updated"]  # some updated rows stayed in range
     assert t.manifest.total_rows == N
+
+
+def test_full_path_resume_after_a_concurrent_commit_raises(tmp_path):
+    """A full-path clustering crashes after journaling ranges 0–2 of 4; a
+    DELETE of a range-0 row and an append that routes to range 0 commit
+    before the resume.  The resume under the same job id raises (its inputs
+    changed) and commits nothing; a fresh job id then commits exactly the
+    live rows."""
+    root = str(tmp_path / "t")
+    t = create_image_table(root, 400, num_fragments=40, seed=SEED)
+    t, _ = run_compaction(t, job_id="c")
+    with pytest.raises(Exception, match="failpoint"):
+        run_clustering(t, order="zorder", job_id="full", num_partitions=4,
+                       failpoint=3)
+    bounds = np.array(lineage.load_job_meta(root, "full")["boundaries"],
+                      dtype=np.uint64)
+
+    def range_0(tbl):
+        part = np.searchsorted(bounds, _salted(tbl, "zorder"), side="right")
+        return tbl.filter(pa.array(part == 0))
+
+    victim = range_0(t.to_arrow())["image_id"][0].as_py()
+    t, rep = run_delete(
+        t, [{"column": "image_id", "op": "eq", "value": victim}], job_id="d")
+    assert rep["deleted"] == 1
+    t = t.append_arrow(range_0(gen_batch(np.arange(50) + APPEND_BASE,
+                                         SEED + 1)).slice(0, 1))
+    live = Counter(t.to_arrow(columns=["image_id"])["image_id"].to_pylist())
+    assert len(live) == 400 and victim not in live
+
+    with pytest.raises(ValueError, match="different"):
+        run_clustering(t, order="zorder", job_id="full", num_partitions=4)
+    assert LakeTable.load(root).version == t.version
+    t2, rep = run_clustering(t, order="zorder", job_id="full-2",
+                             num_partitions=4)
+    assert rep["rows"] == 400
+    assert Counter(t2.to_arrow(columns=["image_id"])["image_id"]
+                   .to_pylist()) == live

@@ -157,29 +157,36 @@ def test_banded_levenshtein_exact_within_cutoff(a, b, cutoff):
         assert got > cutoff
 
 
-# ------------------------------------- cow-merge interval index (round 4)
+# ------------------------------------------------ MERGE's one key probe
 
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
 @given(
     ranges=st.lists(
-        st.tuples(st.integers(0, 9999), st.integers(0, 500)),
-        min_size=1, max_size=40),
-    keys=st.lists(st.integers(0, 11000), min_size=1, max_size=60),
+        st.tuples(st.integers(0, 9999), st.integers(0, 500), st.booleans(),
+                  st.booleans()),
+        min_size=0, max_size=40),
+    keys=st.lists(st.integers(0, 11000), min_size=0, max_size=60),
 )
-def test_interval_index_always_matches_linear(ranges, keys):
-    import numpy as np
+def test_probe_keys_always_matches_brute_force(ranges, keys):
+    """``probe_keys`` yields exactly the (fragment, row) pairs a per-pair
+    check passes: key in range (every key without stats) and bloom "maybe"
+    (no bloom: range only)."""
+    from ocel_ocpn_lakehouse_ray.stages.merge import probe_keys
 
-    from ocel_ocpn_lakehouse_ray.stages.merge_cow import (
-        build_interval_index,
-        candidate_rows,
-    )
-
-    frags = [(f"f{i:03d}", "p", f"k{lo:06d}", f"k{lo + w:06d}", None, 4)
-             for i, (lo, w) in enumerate(ranges)]
-    idx = build_interval_index(frags)
+    frags = []
+    for lo, w, stats, has_bloom in ranges:
+        held = [f"k{v:06d}" for v in range(lo, lo + w + 1, 3)]
+        frags.append((f"k{lo:06d}" if stats else None,
+                      f"k{lo + w:06d}" if stats else None,
+                      bloom.build(held) if has_bloom else None,
+                      bloom.NUM_HASHES))
     karr = np.array([f"k{v:06d}" for v in keys], dtype=object)
-    want = candidate_rows(None, frags, karr)
-    got = candidate_rows(idx, frags, karr) if idx is not None else want
-    assert set(got) == set(want)
-    for f in got:
-        assert sorted(got[f].tolist()) == sorted(want[f].tolist())
+    want = {}
+    for i, (mn, mx, bits, k) in enumerate(frags):
+        rows = [j for j, key in enumerate(karr)
+                if (mn is None or mn <= key <= mx)
+                and (bits is None or bloom.might_contain(bits, [key], k)[0])]
+        if rows:
+            want[i] = rows
+    assert {i: sorted(rows.tolist())
+            for i, rows in probe_keys(frags, karr)} == want

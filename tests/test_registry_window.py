@@ -12,7 +12,7 @@ PINNED_WINDOW = [
     "pricing_summary", "filter_project", "top_customers", "orders_by_segment",
     "revenue_by_nation", "event_type_stats", "value_counts", "daily_counts",
     "hourly_volatility", "direct_follows", "sessionize", "sequence_numbers",
-    "price_percentiles", "percentiles_sketch", "distinct_types", "isin_filter",
+    "price_percentiles", "grouping_sets", "distinct_types", "isin_filter",
     "null_quality", "cooccurrence", "token_counts", "quality_scores",
     "fingerprints", "dedup_exact", "lang_distribution", "lang_id",
     "merge_documents", "semi_join", "anti_join", "having", "case_when",
@@ -21,12 +21,13 @@ PINNED_WINDOW = [
     "next_activity", "case_outcome", "similar_cases", "resource_utilization",
     "executive_kpis", "petri_arcs", "variants", "conformance",
     "mv_refresh_variants", "knn_bruteforce", "embedding_dedup_exact",
-    "embedding_dedup",
+    "value_delta",
 ]
 
-# approximate-by-construction entries: each must be pinned by an exact twin
-# or an accuracy test, and they are the ONLY in-window rows without SQL
-EXPECTED_NO_ORACLE = {"percentiles_sketch", "embedding_dedup"}
+# every in-window entry has oracle SQL; the approximate-by-construction
+# entries (percentiles_sketch, embedding_dedup) sit past the window, pinned
+# by an exact twin or an accuracy test
+EXPECTED_NO_ORACLE = set()
 
 
 def test_first_50_names_are_pinned():

@@ -1,58 +1,95 @@
-"""Round-4 VERDICT items: interval-index cow-merge routing (sub-linear in
-touched-fragment count), plus follow-on round-4 operator upgrades."""
+"""Round-4 VERDICT items: cow-merge routing through the one key probe
+(``merge.probe_keys``, checked against a brute-force per-(key, fragment)
+reference), plus follow-on round-4 operator upgrades."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from ocel_ocpn_lakehouse_ray.stages.merge_cow import (
-    build_interval_index,
-    candidate_rows,
-)
+from ocel_ocpn_lakehouse_ray.functions import bloom
+from ocel_ocpn_lakehouse_ray.stages.merge import probe_keys
 
 
-def _frag(fid, mn, mx):
-    # (fragment_id, path, min, max, bloom_bits, k) — bloom-less entry
-    return (fid, f"data/{fid}.parquet", mn, mx, None, 4)
+def _frag(mn, mx, bits=None):
+    # probe descriptor (min, max, bloom_bits, k)
+    return (mn, mx, bits, bloom.NUM_HASHES)
 
 
-def test_interval_index_equivalent_to_linear_scan_random_overlap():
+def brute_force(frags, keys) -> dict[int, list[int]]:
+    """fragment index → rows whose key is in the fragment's range (any key
+    without stats) and passes its bloom, one (key, fragment) pair at a time."""
+    out = {}
+    for i, (mn, mx, bits, k) in enumerate(frags):
+        rows = [j for j, key in enumerate(keys)
+                if (mn is None or mn <= key <= mx)
+                and (bits is None or bloom.might_contain(bits, [key], k)[0])]
+        if rows:
+            out[i] = rows
+    return out
+
+
+def _probe(frags, keys) -> dict[int, list[int]]:
+    got = {i: sorted(rows.tolist()) for i, rows in probe_keys(frags, keys)}
+    assert list(got) == sorted(got)  # one fragment at a time, in order
+    return got
+
+
+def test_probe_keys_matches_brute_force_random_overlap():
     rng = np.random.default_rng(7)
     frags = []
-    for i in range(200):
+    for _ in range(200):
         lo = int(rng.integers(0, 10_000))
         hi = lo + int(rng.integers(0, 400))
-        frags.append(_frag(f"f{i:04d}", f"k{lo:06d}", f"k{hi:06d}"))
-    frags.append(_frag("fnone", None, None))  # stat-less → matches all
-    idx = build_interval_index(frags)
-    assert idx is not None
+        frags.append(_frag(f"k{lo:06d}", f"k{hi:06d}"))
+    frags.append(_frag(None, None))  # stat-less → probed over every key
     keys = np.array(
         [f"k{int(v):06d}" for v in rng.integers(0, 11_000, size=500)],
         dtype=object)
-    got = candidate_rows(idx, frags, keys)
-    want = candidate_rows(None, frags, keys)
-    assert set(got) == set(want)
-    for f in got:
-        assert np.array_equal(np.sort(got[f]), np.sort(want[f])), f
+    got = _probe(frags, keys)
+    assert got == brute_force(frags, keys)
+    assert got[len(frags) - 1] == list(range(len(keys)))
 
 
-def test_interval_index_routing_is_sublinear_in_fragment_count():
-    """1200 disjoint touched fragments, a batch touching 3 of them: the
-    candidate map must contain exactly those 3 — per-batch routing work is
-    proportional to the keys' overlap, not the fragment count."""
+def test_probe_keys_finds_3_hits_among_1200_disjoint_fragments():
+    """1200 disjoint fragments, a batch touching 3 of them: exactly those 3
+    yield, each with its one row."""
     F = 1200
-    frags = [_frag(f"f{i:05d}", f"k{i * 100:08d}", f"k{i * 100 + 99:08d}")
-             for i in range(F)]
-    idx = build_interval_index(frags)
-    assert idx is not None
+    frags = [_frag(f"k{i * 100:08d}", f"k{i * 100 + 99:08d}") for i in range(F)]
     keys = np.array(["k" + s for s in
                      ("00000350", "00065010", "00119999", "99999999")],
                     dtype=object)  # frags 3, 650, 1199; last key beyond all
-    got = candidate_rows(idx, frags, keys)
-    assert set(got) == {3, 650, 1199}
-    assert [got[3].tolist(), got[650].tolist(), got[1199].tolist()] == \
-        [[0], [1], [2]]
+    got = _probe(frags, keys)
+    assert got == {3: [0], 650: [1], 1199: [2]} == brute_force(frags, keys)
+
+
+def test_probe_keys_nested_ranges():
+    # fragment i spans [k000000, k{i}]: every pair of ranges overlaps
+    frags = [_frag("k000000", f"k{i:06d}") for i in range(200)]
+    keys = np.array(["k000100", "k000000", "k000199", "k000200"], dtype=object)
+    got = _probe(frags, keys)
+    assert got == brute_force(frags, keys)
+    assert set(got) == set(range(200))
+    assert got[100] == [0, 1] and got[99] == [1] and got[199] == [0, 1, 2]
+
+
+def test_probe_keys_bloom_bits_and_empty_batch():
+    """Bloom bits drop in-range keys a fragment does not hold (also for a
+    fragment without range stats); no key, no fragment."""
+    evens = [f"k{i:06d}" for i in range(0, 400, 2)]
+    odds = [f"k{i:06d}" for i in range(1, 400, 2)]
+    frags = [_frag(evens[0], evens[-1], bloom.build(evens)),
+             _frag(odds[0], odds[-1], bloom.build(odds)),
+             _frag(None, None, bloom.build(odds)),
+             _frag(odds[0], odds[-1])]  # no sidecar: range-only
+    keys = np.array(evens[:50] + odds[100:120] + ["k999999"], dtype=object)
+    np.random.default_rng(3).shuffle(keys)
+    got = _probe(frags, keys)
+    assert got == brute_force(frags, keys)
+    rows_of = {k: j for j, k in enumerate(keys)}
+    assert got[3] == sorted(rows_of[k] for k in evens[1:50] + odds[100:120])
+    assert _probe(frags, np.array([], dtype=object)) == {}
+    assert _probe([], keys) == {}
 
 
 @pytest.mark.parametrize("mode", ["cow"])
@@ -429,12 +466,3 @@ def test_merge_pure_delete_source(tmp_path, mode):
     ids = set(t2.to_arrow(columns=["image_id"])["image_id"].to_pylist())
     gone = set(gen_batch(del_ids, seed)["image_id"].to_pylist())
     assert not (ids & gone) and len(ids) == n - len(del_ids)
-
-
-def test_interval_index_pathological_overlap_falls_back_to_linear():
-    # nested ranges (frag i spans [0, i]) → O(F^2) segment entries → None
-    frags = [_frag(f"f{i:04d}", "k000000", f"k{i:06d}") for i in range(200)]
-    assert build_interval_index(frags) is None
-    keys = np.array(["k000100"], dtype=object)
-    got = candidate_rows(None, frags, keys)
-    assert set(got) == set(range(100, 200))  # linear fallback still exact
