@@ -49,12 +49,11 @@ def entry() -> Any:
     # snapshot-isolation check on the pinned pre-merge version
     from ocel_ocpn_lakehouse_ray.stages.verify import verify_merged_map_only
 
-    rep = verify_merged_map_only(t, n=n, num_blocks=4)
+    rep = verify_merged_map_only(t, n=n)
     if not rep["passed"]:
         raise RuntimeError(f"post-maintenance verification FAILED: {rep}")
     srep = verify_merged_map_only(
-        LakeTable.load(root, version=pre_merge_version), n=n, num_blocks=4,
-        merged=False)
+        LakeTable.load(root, version=pre_merge_version), n=n, merged=False)
     if not srep["passed"]:
         raise RuntimeError(f"snapshot-isolation verification FAILED: {srep}")
     return t.to_dataset(columns=["image_id", "caption", "w", "h", "fmt", "phash"])

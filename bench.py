@@ -208,16 +208,15 @@ def run_bench(num_cpus: int, sf_dir: str, *, maintenance_only: bool = False,
         t_m = time.time()
         # post-maintenance STRICT verification: every surviving row is
         # compared against its regenerated expected row — caption exact, meta
-        # exact, both sides decoded (north_star) — as a map-only pipeline
+        # exact, both sides decoded (north_star) — map-only tasks
         from ocel_ocpn_lakehouse_ray.stages.verify import verify_merged_map_only
 
-        vrep = verify_merged_map_only(t, n=n, num_blocks=num_cpus * 3)
+        vrep = verify_merged_map_only(t, n=n)
         if not vrep["passed"]:
             raise RuntimeError(f"post-maintenance verification FAILED: {vrep}")
         # snapshot isolation: the pre-merge pinned version verifies unchanged
         t_pre = LakeTable.load(root, version=t.version - 1)
-        srep = verify_merged_map_only(t_pre, n=n, num_blocks=num_cpus * 3,
-                                      merged=False)
+        srep = verify_merged_map_only(t_pre, n=n, merged=False)
         if not srep["passed"]:
             raise RuntimeError(f"snapshot-isolation verification FAILED: {srep}")
         n_decoded = vrep["pairs"] + srep["pairs"]

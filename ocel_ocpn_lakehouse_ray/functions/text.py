@@ -28,15 +28,6 @@ def md5_fingerprint(texts: list[str]) -> list[str]:
     return [hashlib.md5(t.encode("utf-8")).hexdigest() for t in texts]
 
 
-def token_hashes(tokens: list[str]) -> np.ndarray:
-    """64-bit hashes of tokens (stable across processes)."""
-    out = np.empty(len(tokens), dtype=np.uint64)
-    for i, t in enumerate(tokens):
-        d = hashlib.blake2b(t.encode("utf-8"), digest_size=8).digest()
-        out[i] = int.from_bytes(d, "little")
-    return out
-
-
 def simhash64(texts: list[str]) -> np.ndarray:
     """Charikar SimHash over whitespace tokens: per-bit votes weighted by
     token frequency; near-dup docs land within small hamming distance.

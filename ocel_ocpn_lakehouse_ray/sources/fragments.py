@@ -10,9 +10,11 @@ Writes are idempotent: tmp file + atomic rename, and maintenance paths use
 content-addressed names (job_id, partition_id, seq) so a Ray-retried task
 recreates the same file name and skips the write (SURVEY.md §4 stragglers row).
 
-Every engine read goes through ``read_files``: the driver plans read
-descriptors from the paths it already has (no Ray parquet planner, no
-sampling), and one pyarrow kernel reads them inside Ray tasks.
+Every engine read goes through one pyarrow kernel, ``_read_pieces``, over
+read descriptors the driver plans from the paths it already has
+(``_plan_pieces``: no Ray parquet planner, no sampling).  ``read_files``
+runs it as a Ray Data Dataset for queries and ``LakeTable.to_dataset``;
+maintenance runs it in ``fan_out`` tasks (``stages/fs_shuffle.map_files``).
 """
 
 from __future__ import annotations
@@ -259,7 +261,7 @@ def _read_pieces(batch: pa.Table, *, schema: pa.Schema, columns, filter,
 def read_files(paths: list[str], *, columns: list[str] | None = None,
                schema: pa.Schema | None = None, filter=None,
                num_blocks: int | None = None, include_paths: bool = False):
-    """THE engine read: parquet files → ``ray.data.Dataset``.
+    """The engine read as a Dataset: parquet files → ``ray.data.Dataset``.
 
     The driver turns ``paths`` into read-descriptor blocks (one per file
     or ``num_blocks``, see ``_plan_pieces``) and ``_read_pieces`` reads

@@ -12,8 +12,10 @@ the manifest rewrite).
 Physical shape (SURVEY.md §7 step 5) — ONE all-to-all exchange:
   1. plan the ranges (below) → P-1 salted-key boundaries, persisted in the
      job meta and fingerprinted, so a RESUMED run reuses the same ranges;
-  2. map_batches: vectorized key kernel (functions/zorder.py) + searchsorted
-     range assignment.  Hot keys — the injected 10 % hot-phash skew —
+  2. map tasks (``fs_shuffle.fs_shuffle_map``: one ``fan_out`` task per
+     read block — maintenance starts tasks only through ``fan_out``):
+     vectorized key kernel (functions/zorder.py) + searchsorted range
+     assignment.  Hot keys — the injected 10 % hot-phash skew —
      share one cluster key, so ranges are cut on a SALTED key
      (48-bit key ‖ 16-bit image_id hash): identical keys spread over
      ranges without disturbing the order of distinct keys (north_rule
@@ -328,31 +330,28 @@ def run_clustering(table, *, order: str | None = None, job_id: str | None = None
         return batch.append_column(SKEY_COL, pa.array(sk, pa.uint64())) \
                     .append_column(PART_COL, pa.array(part, pa.int32()))
 
-    # read with enough blocks that the shuffle's map side saturates the
-    # cluster (one block per fragment would cap it at the fragment count)
     import ray
 
-    from ..sources.fragments import read_files
-    from .fs_shuffle import cleanup, fs_shuffle_groups
+    from .fs_shuffle import cleanup, fs_reduce, fs_shuffle_map
 
     if inputs:
-        nblocks = max(P, 2 * int(ray.cluster_resources().get("CPU", 8)))
-        ds = read_files(table.fragment_paths(inputs), schema=table.schema,
-                        num_blocks=nblocks)
-        assigned = ds.map_batches(assign, batch_format="pyarrow")
         # partials are rebuilt from scratch on resume (cheap map-only pass);
         # COMPLETED ranges still short-circuit via their lineage records
         work = os.path.join(lineage.journal_dir(table.root, job_id), "shuffle")
         cleanup(work)
         try:
-            fs_shuffle_groups(assigned, part_col=PART_COL, work_dir=work,
-                              reduce_fn=_write_range,
-                              fn_kwargs=dict(root=table.root, job_id=job_id,
-                                             order=order, bounds=bounds,
-                                             ranges=meta.get("ranges"),
-                                             schema=table.schema,
-                                             target_bytes=cfg.target_fragment_bytes,
-                                             failpoint=failpoint))
+            # enough read blocks that the map side saturates the cluster
+            # (one block per fragment would cap it at the fragment count)
+            manifest = fs_shuffle_map(
+                table.fragment_paths(inputs), assign, part_col=PART_COL,
+                work_dir=work, schema=table.schema,
+                num_blocks=max(P, 2 * int(ray.cluster_resources().get("CPU", 8))))
+            fs_reduce(manifest, _write_range,
+                      dict(root=table.root, job_id=job_id, order=order,
+                           bounds=bounds, ranges=meta.get("ranges"),
+                           schema=table.schema,
+                           target_bytes=cfg.target_fragment_bytes,
+                           failpoint=failpoint))
         finally:
             cleanup(work)
     phases["exchange"] = round(time.time() - t0 - sum(phases.values()), 3)

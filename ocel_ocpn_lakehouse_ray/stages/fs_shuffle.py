@@ -26,11 +26,14 @@ state/lineage.py per partition, so a retried or resumed reduce returns the
 journaled result without rewriting).
 
 ``fan_out`` is the engine's one task fan-out, and the only place it declares
-a Ray task: the reduce side here, compaction's and DELETE/UPDATE's bin
-rewrites (``compaction.rewrite_bins``), cow MERGE's insert pass, export
-shards, clustering's key sample and the seed-table build
-(``generator.create_image_table``) all run through it, so every job lets
-each sibling task finish — and journal — before a failure surfaces."""
+a Ray task; maintenance starts tasks through nothing else.  ``map_files``
+runs a function over read blocks of parquet files on it (the map side here,
+both verify gates and MERGE's distributed pruning), and the reduce side
+here, compaction's and DELETE/UPDATE's bin rewrites
+(``compaction.rewrite_bins``), cow MERGE's insert pass, export shards,
+clustering's key sample and the seed-table build
+(``generator.create_image_table``) call it directly, so every job lets each
+sibling task finish — and journal — before a failure surfaces."""
 
 from __future__ import annotations
 
@@ -42,15 +45,15 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 
-def write_partials(batch: pa.Table, *, part_col: str, work_dir: str) -> pa.Table:
-    """map_batches stage: sort one batch by partition id and write a SINGLE
-    parquet file with one row group per partition present.  Emits
-    (part, path, rg) rows so the caller can fan reduce tasks without listing
-    or footer-scanning the directory."""
-    if batch.num_rows == 0:  # empty upstream block: nothing to write
-        return pa.table({"part": pa.array([], pa.int32()),
-                         "path": pa.array([], pa.string()),
-                         "rg": pa.array([], pa.int32())})
+def write_partials(batch: pa.Table, *, part_col: str,
+                   work_dir: str) -> list[tuple[int, str, int]]:
+    """Map task body: sort one block by partition id and write a SINGLE
+    parquet file with one row group per partition present.  Returns its
+    (part, path, row_group) pieces, so the caller can fan reduce tasks
+    without listing or footer-scanning the directory; an empty block
+    writes nothing."""
+    if batch.num_rows == 0:
+        return []
     part = batch[part_col].to_numpy()
     order = np.argsort(part, kind="stable")
     sorted_part = part[order]
@@ -61,7 +64,7 @@ def write_partials(batch: pa.Table, *, part_col: str, work_dir: str) -> pa.Table
     os.makedirs(work_dir, exist_ok=True)
     path = os.path.join(work_dir, f"{uuid.uuid4().hex}.parquet")
     tmp = path + ".tmp"
-    out_p, out_rg = [], []
+    out = []
     from ..sources.fragments import column_compression
 
     with pq.ParquetWriter(tmp, sorted_batch.schema,
@@ -70,28 +73,22 @@ def write_partials(batch: pa.Table, *, part_col: str, work_dir: str) -> pa.Table
             # one write_table call = one row group (slice length < default
             # row_group_size), addressable independently by the reducer
             w.write_table(sorted_batch.slice(s, e - s))
-            out_p.append(int(sorted_part[s]))
-            out_rg.append(rg)
+            out.append((int(sorted_part[s]), path, rg))
     os.replace(tmp, path)
-    return pa.table({"part": pa.array(out_p, pa.int32()),
-                     "path": pa.array([path] * len(out_p), pa.string()),
-                     "rg": pa.array(out_rg, pa.int32())})
+    return out
 
 
-def fs_shuffle_map(ds, *, part_col: str, work_dir: str) -> dict:
-    """Map side alone: partition ``ds`` into ``work_dir`` partials and return
-    the manifest {part: [(path, row_group), ...]} — for callers that fan
-    different reduce functions over different partition subsets (cow merge
-    routes fragments and the insert partition through ONE exchange)."""
-    os.makedirs(work_dir, exist_ok=True)
+def fs_shuffle_map(paths: list[str], map_fn, *, part_col: str, work_dir: str,
+                   num_blocks: int | None = None,
+                   schema: pa.Schema | None = None) -> dict:
+    """Map side: ``map_fn(block)`` (partition ids in ``part_col``) over the
+    read blocks of ``paths`` (``map_files``), each task writing one partial
+    to ``work_dir``; returns the manifest {part: [(path, row_group), ...]}."""
     manifest: dict[int, list[tuple[str, int]]] = {}
-    map_ds = ds.map_batches(
-        write_partials, fn_kwargs=dict(part_col=part_col, work_dir=work_dir),
-        batch_format="pyarrow",
-    )
-    for b in map_ds.iter_batches(batch_format="pyarrow"):
-        for p, f, rg in zip(b["part"].to_pylist(), b["path"].to_pylist(),
-                            b["rg"].to_pylist()):
+    for pieces in map_files(paths, lambda b: write_partials(
+            map_fn(b), part_col=part_col, work_dir=work_dir),
+            num_blocks=num_blocks, schema=schema):
+        for p, f, rg in pieces:
             manifest.setdefault(p, []).append((f, rg))
     return manifest
 
@@ -147,21 +144,31 @@ def fan_out(fn, calls) -> list:
     return drain([task.remote(*args) for args in calls])
 
 
+def map_files(paths: list[str], fn, *, num_blocks: int | None = None,
+              schema: pa.Schema | None = None,
+              columns: list[str] | None = None) -> list:
+    """``fn(block)`` as one ``fan_out`` task per read block of parquet
+    ``paths``, results in block order (none for no paths).  The blocks are
+    ``read_files``' (``sources.fragments._plan_pieces``: one per file, or
+    ``num_blocks`` row-group / row-range pieces), and each task reads its
+    block with the one read kernel (``_read_pieces``), so it holds about
+    total bytes / blocks.  ``schema`` defaults to the first file's."""
+    from ..sources.fragments import _plan_pieces, _read_pieces
+
+    if not paths:
+        return []
+    paths = [os.path.abspath(p) for p in paths]
+    schema = (schema or pq.read_schema(paths[0])).remove_metadata()
+    return fan_out(lambda pieces: fn(_read_pieces(
+        pieces, schema=schema, columns=columns, filter=None,
+        include_paths=False)), [(b,) for b in _plan_pieces(paths, num_blocks)])
+
+
 def fs_reduce(manifest: dict, reduce_fn, fn_kwargs: dict | None = None):
     """One ``fan_out`` task per manifest partition; returns reduce outputs."""
     fn_kwargs = fn_kwargs or {}
     return fan_out(lambda pieces: reduce_fn(read_partition(pieces), **fn_kwargs),
                    [(pieces,) for _, pieces in sorted(manifest.items())])
-
-
-def fs_shuffle_groups(ds, *, part_col: str, work_dir: str, reduce_fn,
-                      fn_kwargs: dict | None = None):
-    """Run ``reduce_fn(group: pa.Table, **fn_kwargs) -> pa.Table`` once per
-    partition of ``ds`` (partition ids in ``part_col``), shuffling through
-    ``work_dir`` instead of the object store.  Returns the list of reduce
-    outputs (Arrow tables)."""
-    manifest = fs_shuffle_map(ds, part_col=part_col, work_dir=work_dir)
-    return fs_reduce(manifest, reduce_fn, fn_kwargs)
 
 
 def cleanup(work_dir: str) -> None:

@@ -15,9 +15,10 @@ semantics as staged files plus one commit:
      image_id stats, then the in-range keys against its key Bloom sidecar;
      fragments that can hold no source key pass through the commit UNREAD.
      Scale: O(n log n + F log n + candidates) for n keys and F fragments.
-     Past ``MAX_DRIVER_KEYS`` source rows the same probe runs in Ray tasks
-     per batch of the staged source (``prune_touched_distributed``), as the
-     rewrite's route does per batch.
+     Past ``MAX_DRIVER_KEYS`` source rows the same probe runs in one
+     ``fan_out`` task per staged file (``prune_touched_distributed``), as
+     the rewrite's route does; maintenance starts tasks only through
+     ``fan_out``.  A null source key raises ValueError before any probe.
   3. **Rewrite** — one plan, copy-on-write over bins of touched fragments
      (stages/merge_cow.py): only source rows move through an exchange, each
      bin's task rewrites its fragments in place, and a clustered fragment
@@ -38,6 +39,7 @@ import time
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 from ..state import lineage
 
@@ -45,6 +47,9 @@ from ..state import lineage
 # past it the same probe runs in Ray tasks instead (tests shrink this to
 # force that path).
 MAX_DRIVER_KEYS = 5_000_000
+# Source keys one distributed-pruning task probes at once, so a task's sort
+# and hash arrays stay bounded however large a staged file is.
+PROBE_SLICE_KEYS = 65536
 # Bumped when the rewrite's partitions change meaning: a journal written
 # under another version never resumes.
 PLAN_VERSION = 2
@@ -120,32 +125,44 @@ def prune_touched_fragments(fragments, source_keys, root: str | None = None):
             [f for i, f in enumerate(fragments) if i not in hit])
 
 
-def prune_touched_distributed(table, src_files, *, batch_size: int = 65536):
+def prune_touched_distributed(table, src_files):
     """Touched-fragment ids for sources too large for a driver key set: the
-    fragments' (tiny) probe descriptors are broadcast once, and Ray tasks
-    stream the staged source key column through ``probe_keys``; the driver
-    unions only fragment-id hits, so it touches what
+    fragments' (tiny) probe descriptors are broadcast once, and one
+    ``fan_out`` task per staged file (``fs_shuffle.map_files``) runs its key
+    column through ``probe_keys`` in slices of PROBE_SLICE_KEYS keys; the
+    driver unions only fragment-id hits, so it touches what
     ``prune_touched_fragments`` would."""
     import ray
 
-    from ..sources.fragments import read_files
+    from .fs_shuffle import map_files
 
     ref = ray.put(([f.fragment_id for f in table.fragments],
                    probe_descriptors(table.fragments, table.root)))
 
-    def probe(batch):
-        import ray as _r
+    def probe(block: pa.Table) -> set:
+        ids, descs = ray.get(ref)
+        keys = block["image_id"]
+        return {ids[i] for s in range(0, len(keys), PROBE_SLICE_KEYS)
+                for i, _ in probe_keys(
+                    descs, keys.slice(s, PROBE_SLICE_KEYS).to_pylist())}
 
-        ids, descs = _r.get(ref)
-        hits = [ids[i] for i, _ in probe_keys(descs, batch["image_id"].to_pylist())]
-        return pa.table({"fragment_id": pa.array(hits, pa.string())})
+    return sorted(set().union(*map_files(src_files, probe,
+                                         columns=["image_id"])))
 
-    ds = read_files(src_files, columns=["image_id"])
-    hit_ds = ds.map_batches(probe, batch_format="pyarrow", batch_size=batch_size)
-    touched = set()
-    for b in hit_ds.iter_batches(batch_format="pyarrow"):
-        touched.update(b["fragment_id"].to_pylist())
-    return sorted(touched)
+
+def null_keys(metas, src_files, key: str = "image_id") -> int:
+    """Null ``key`` count of the staged files: from their footers
+    (``metas``), or from the column for a file without null-count stats."""
+    total = 0
+    for md, path in zip(metas, src_files):
+        col = md.schema.names.index(key)
+        stats = [md.row_group(r).column(col).statistics
+                 for r in range(md.num_row_groups)]
+        if all(st is not None and st.has_null_count for st in stats):
+            total += sum(st.null_count for st in stats)
+        else:
+            total += pq.read_table(path, columns=[key])[key].null_count
+    return total
 
 
 def run_merge(table, source_ds, *, job_id: str | None = None,
@@ -154,7 +171,8 @@ def run_merge(table, source_ds, *, job_id: str | None = None,
 
     Each key may appear at most once in the source (SQL MERGE's cardinality
     rule): a key that appears twice raises ValueError before anything is
-    committed.
+    committed.  A null key raises ValueError naming the null count before
+    any prune or task runs, and the staged source is dropped first.
 
     ``delete_col``: name of a boolean column on the source marking WHEN
     MATCHED THEN DELETE rows — matched target rows are deleted, the marker
@@ -165,8 +183,6 @@ def run_merge(table, source_ds, *, job_id: str | None = None,
     resume after a commit that rewrote a touched fragment raises ValueError
     instead of committing against inputs that changed."""
     import glob
-
-    import pyarrow.parquet as pq
 
     from .merge_cow import cow_merge
 
@@ -205,12 +221,18 @@ def run_merge(table, source_ds, *, job_id: str | None = None,
     # source key set for fragment pruning from the staged files (columnar,
     # keys only) — recomputed on a resume, so the fingerprint below sees a
     # touched fragment that a concurrent commit replaced
-    src_rows = sum(pq.ParquetFile(p).metadata.num_rows for p in src_files)
+    metas = [pq.read_metadata(p) for p in src_files]
+    src_rows = sum(m.num_rows for m in metas)
     if not src_rows:  # empty source: nothing to do
         return table, {"job_id": job_id, "bins": 0, "rows": 0,
                        "updates": 0, "inserts": 0, "seconds": 0.0,
                        "touched_fragments": 0,
                        "untouched_fragments": len(table.fragments)}
+    nulls = null_keys(metas, src_files)
+    if nulls:  # a null key matches nothing and sorts against no key
+        lineage.drop_payload(table.root, job_id)
+        raise ValueError(f"MERGE source holds {nulls} null image_id key(s); "
+                         "every key must be non-null")
     if src_rows > MAX_DRIVER_KEYS:
         # source keys won't fit on the driver → the probe runs in tasks
         touched_ids = prune_touched_distributed(table, src_files)

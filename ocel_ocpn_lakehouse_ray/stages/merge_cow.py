@@ -7,7 +7,9 @@ in place by the task that rewrites their fragments.
      Arrow bytes, up to ``target_fragment_bytes``).  A fragment a clustering
      stamped with its key range (``cluster_range``, stages/clustering.py) is
      a bin of its own, so its rewrite can stay in range.
-  2. **Route** (map-only over the staged source): every source row is tagged
+  2. **Route** (the exchange's map side over the staged source, one
+     ``fan_out`` task per staged file — maintenance starts tasks only
+     through ``fan_out``): every source row is tagged
      with each bin holding a fragment whose image_id range (+ key bloom) may
      contain it — one output row per (source row, candidate bin).  A row no
      fragment claims is a pure insert: it is hash-salted by key into one of
@@ -125,12 +127,12 @@ def _tag(tbl: pa.Table, bin_ids: np.ndarray, insert: bool) -> pa.Table:
                .append_column(INS_COL, pa.array(np.full(tbl.num_rows, insert))))
 
 
-def _route_batches(payload_ref, insert_parts: int, key_col: str = "image_id"):
-    """map_batches fn: one output row per (source row, candidate bin), with
-    BIN_COL the bin's index; the candidates come from ``probe_keys`` over
-    the batch's keys.  A row no fragment claims goes out once with INS_COL
-    set, hash-salted by key into an unstamped bin, or into insert partition
-    -1 .. -insert_parts when there is none."""
+def _router(payload_ref, insert_parts: int, key_col: str = "image_id"):
+    """The route's map function: one output row per (source row, candidate
+    bin), with BIN_COL the bin's index; the candidates come from
+    ``probe_keys`` over the block's keys.  A row no fragment claims goes out
+    once with INS_COL set, hash-salted by key into an unstamped bin, or into
+    insert partition -1 .. -insert_parts when there is none."""
 
     def route(batch: pa.Table) -> pa.Table:
         import ray as _r
@@ -198,8 +200,6 @@ def cow_merge(table, src_files: list[str], touched, *, job_id: str,
 
     import ray
 
-    from ..sources.fragments import read_files
-
     _t0 = _time.time()
     root = table.root
     bins = plan_bins(touched, target_bytes)
@@ -215,12 +215,6 @@ def cow_merge(table, src_files: list[str], touched, *, job_id: str,
         meta["p_ins"] = max(1, min(8, n_cpus // 2))
         lineage.write_job_meta(root, job_id, meta)
     p_ins = int(meta["p_ins"])
-
-    # ONE source read feeds the whole merge: claimed rows fan to their
-    # candidate bins, pure inserts ride the same exchange — no second
-    # source scan anywhere
-    routed = read_files(src_files).map_batches(
-        _route_batches(payload_ref, p_ins), batch_format="pyarrow")
 
     def rewrite(group: pa.Table) -> None:
         b = group[BIN_COL][0].as_py()
@@ -291,7 +285,11 @@ def cow_merge(table, src_files: list[str], touched, *, job_id: str,
     work = os.path.join(lineage.journal_dir(root, job_id), "cow-route")
     cleanup(work)
     try:
-        manifest = fs_shuffle_map(routed, part_col=BIN_COL, work_dir=work)
+        # ONE source read feeds the whole merge: claimed rows fan to their
+        # candidate bins, pure inserts ride the same exchange — no second
+        # source scan anywhere
+        manifest = fs_shuffle_map(src_files, _router(payload_ref, p_ins),
+                                  part_col=BIN_COL, work_dir=work)
         if phases is not None:
             phases["cow_route_map"] = round(_time.time() - _t0, 3)
             _t0 = _time.time()

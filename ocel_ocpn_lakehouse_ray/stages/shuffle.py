@@ -3,9 +3,9 @@ for the wide maintenance jobs.
 
 The reference declares ``write.distribution-mode: hash`` but never uses it
 (`ingest/production_bootstrap.py:239-241`); here the hash partitioning is real:
-a vectorized ``__part`` column inside ``map_batches`` followed by the
-storage-partitioned exchange (``fs_shuffle.fs_shuffle_groups``) — ONE
-all-to-all exchange per job, with partition count chosen from data size + the
+a vectorized ``__part`` column computed in the map tasks of the
+storage-partitioned exchange (``fs_shuffle.fs_shuffle_map`` + ``fs_reduce``)
+— ONE all-to-all exchange per job, with partition count chosen from data size + the
 reference's bucket heuristic.
 """
 

@@ -89,8 +89,10 @@ def test_merge_distributed_bloom_path(tmp_path, monkeypatch):
     assert len(ids) == len(set(ids)) == 200
 
 
-def test_prune_distributed_direct(tmp_path):
+def test_prune_distributed_direct(tmp_path, monkeypatch):
     import pyarrow.parquet as pq
+
+    from ocel_ocpn_lakehouse_ray.stages import merge
 
     t = _interleaved_table(str(tmp_path / "t"))
     src = gen_batch(np.arange(0, 40, 2), SEED).select(["image_id"])
@@ -98,6 +100,14 @@ def test_prune_distributed_direct(tmp_path):
     pq.write_table(src, p)
     touched = prune_touched_distributed(t, [p])
     assert len(touched) == 1
+    # a task probes its block in key slices, and every slice counts: the
+    # odd fragment's key sits in the second slice of 3
+    monkeypatch.setattr(merge, "PROBE_SLICE_KEYS", 3)
+    assert prune_touched_distributed(t, [p]) == touched
+    p2 = str(tmp_path / "src2.parquet")
+    pq.write_table(gen_batch(np.array([0, 2, 4, 6, 39]), SEED)
+                   .select(["image_id"]), p2)
+    assert len(prune_touched_distributed(t, [p2])) == 2
 
 
 def _mixed_table(root):

@@ -14,6 +14,8 @@ import glob
 import os
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 import ray.data
 
@@ -25,9 +27,10 @@ from ocel_ocpn_lakehouse_ray.sources.generator import (
 )
 from ocel_ocpn_lakehouse_ray.stages.compaction import run_compaction
 from ocel_ocpn_lakehouse_ray.stages.gc import expire_and_gc, fsck
-from ocel_ocpn_lakehouse_ray.stages.merge import run_merge
+from ocel_ocpn_lakehouse_ray.stages.merge import null_keys, run_merge
 from ocel_ocpn_lakehouse_ray.stages.verify import scan_equivalence
 from ocel_ocpn_lakehouse_ray.state import lineage
+from ocel_ocpn_lakehouse_ray.table import LakeTable
 
 SEED = 42
 N = 200
@@ -141,3 +144,41 @@ def test_space_budget_after_maintenance(tmp_path):
     expire_and_gc(root, keep_last=1, orphan_grace_seconds=0)
     live = sum(f.bytes for f in t.fragments)
     assert _dir_bytes(root) / live <= 1.05, (_dir_bytes(root), live)
+
+
+def _with_null_keys(tbl: pa.Table, rows: list[int]) -> pa.Table:
+    ids = tbl["image_id"].to_pylist()
+    for r in rows:
+        ids[r] = None
+    return tbl.set_column(tbl.schema.get_field_index("image_id"), "image_id",
+                          pa.array(ids, pa.string()))
+
+
+@pytest.mark.parametrize("sidecars", [True, False])
+def test_null_source_key_raises_before_any_probe(tmp_path, sidecars):
+    """A null MERGE key raises ValueError naming the null count before the
+    probe hashes it (key Bloom sidecars) or sorts it among the fragments'
+    string bounds (none), and the job's staged source is dropped."""
+    root = str(tmp_path / "t")
+    t = create_image_table(root, N, num_fragments=6, seed=SEED)
+    if not sidecars:
+        for f in t.fragments:
+            os.remove(os.path.join(root, f.stats["__bloom"]["path"]))
+    src = _with_null_keys(gen_update_batch(np.arange(0, 40, 2), SEED), [3, 7])
+    with pytest.raises(ValueError, match="2 null image_id"):
+        run_merge(t, ray.data.from_arrow(src), job_id="m-null")
+    assert LakeTable.load(root).version == t.version
+    assert not os.path.exists(
+        os.path.join(lineage.journal_dir(root, "m-null"), "source"))
+    assert fsck(root)["stale_payload"] == []
+
+
+def test_null_keys_reads_the_column_without_statistics(tmp_path):
+    src = _with_null_keys(gen_update_batch(np.arange(0, 10), SEED), [0, 4, 9])
+    paths = [str(tmp_path / "stats.parquet"), str(tmp_path / "bare.parquet")]
+    pq.write_table(src, paths[0])
+    pq.write_table(src, paths[1], write_statistics=False)
+    metas = [pq.read_metadata(p) for p in paths]
+    assert metas[1].row_group(0).column(0).statistics is None
+    assert null_keys(metas[:1], paths[:1]) == 3
+    assert null_keys(metas[1:], paths[1:]) == 3

@@ -3,7 +3,7 @@ reduce fan-outs drain every task before raising, so a crashed bin rewrite
 (compaction, DELETE) has journaled every sibling bin; a resume under a
 changed plan raises instead of mixing plans; only state/lineage.py reads or
 writes partition records; and every job fans its tasks out through
-``fs_shuffle.fan_out``."""
+``fs_shuffle.fan_out`` (maintenance starts no Ray Data execution)."""
 
 import os
 import pathlib
@@ -14,18 +14,32 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-import ray.data
-
-from ocel_ocpn_lakehouse_ray.sources.generator import create_image_table, gen_batch
+from ocel_ocpn_lakehouse_ray.sources.generator import (
+    create_image_table,
+    gen_batch,
+    merge_source_dataset,
+)
 from ocel_ocpn_lakehouse_ray.stages.clustering import run_clustering
 from ocel_ocpn_lakehouse_ray.stages.compaction import plan_compaction, run_compaction
 from ocel_ocpn_lakehouse_ray.stages.delete import run_delete
-from ocel_ocpn_lakehouse_ray.stages.fs_shuffle import fs_shuffle_groups
+from ocel_ocpn_lakehouse_ray.stages.fs_shuffle import fs_reduce, fs_shuffle_map
+from ocel_ocpn_lakehouse_ray.stages.merge import run_merge
 from ocel_ocpn_lakehouse_ray.stages.update import run_update
+from ocel_ocpn_lakehouse_ray.stages.verify import verify_merged_map_only
 from ocel_ocpn_lakehouse_ray.state import lineage
 from ocel_ocpn_lakehouse_ray.table import LakeTable
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "ocel_ocpn_lakehouse_ray"
+
+
+def _part_files(tmp_path, parts) -> list[str]:
+    """One single-row parquet file per partition id: one read block each."""
+    paths = []
+    for p in parts:
+        paths.append(str(tmp_path / f"in-{p}.parquet"))
+        pq.write_table(pa.table({"__part": pa.array([p], pa.int32()),
+                                 "x": [p]}), paths[-1])
+    return paths
 
 
 def test_fs_shuffle_drains_every_reduce_before_raising(tmp_path):
@@ -45,11 +59,33 @@ def test_fs_shuffle_drains_every_reduce_before_raising(tmp_path):
         open(os.path.join(marks, f"done-{part}"), "w").close()
         return group
 
-    ds = ray.data.from_arrow(pa.table({
-        "__part": pa.array([0, 1, 2, 3], pa.int32()), "x": [1, 2, 3, 4]}))
+    manifest = fs_shuffle_map(_part_files(tmp_path, range(4)), lambda b: b,
+                              part_col="__part", work_dir=str(tmp_path / "w"))
     with pytest.raises(Exception, match="reduce failed on part 0"):
-        fs_shuffle_groups(ds, part_col="__part", work_dir=str(tmp_path / "w"),
-                          reduce_fn=reduce_fn)
+        fs_reduce(manifest, reduce_fn)
+    assert sorted(os.listdir(marks)) == ["done-1", "done-2", "done-3"]
+
+
+def test_fs_shuffle_map_drains_every_block_before_raising(tmp_path):
+    """The map side drains too: block 0's task fails at once while blocks
+    1-3 sleep and then leave a mark, and every mark is there when the error
+    surfaces."""
+    marks = str(tmp_path / "marks")
+    os.makedirs(marks)
+
+    def map_fn(block: pa.Table) -> pa.Table:
+        import time
+
+        part = block["__part"][0].as_py()
+        if part == 0:
+            raise RuntimeError("map failed on block 0")
+        time.sleep(1.0)
+        open(os.path.join(marks, f"done-{part}"), "w").close()
+        return block
+
+    with pytest.raises(Exception, match="map failed on block 0"):
+        fs_shuffle_map(_part_files(tmp_path, range(4)), map_fn,
+                       part_col="__part", work_dir=str(tmp_path / "w"))
     assert sorted(os.listdir(marks)) == ["done-1", "done-2", "done-3"]
 
 
@@ -163,3 +199,66 @@ def test_only_fan_out_declares_ray_tasks():
         if re.search(r"batch_size\s*=\s*1\b", path.read_text())
     ]
     assert offenders == []
+
+
+def test_stages_call_ray_data_only_on_a_users_dataset():
+    """Under stages/, ``map_batches`` and the Dataset reader ``read_files``
+    are called only by helpers that take or return a user's Dataset."""
+    callers = {}
+    for path in sorted((PACKAGE / "stages").rglob("*.py")):
+        text = path.read_text()
+        for m in re.finditer(r"\.map_batches\(|\bread_files\(", text):
+            fn = re.findall(r"^def (\w+)", text[:m.start()], re.M)[-1]
+            callers.setdefault(path.name, set()).add(fn)
+    assert callers == {"components.py": {"distributed_components"},
+                       "constraints.py": {"check_constraints"},
+                       "multimodal.py": {"decode_stats_pipeline"},
+                       "verify.py": {"scan_equivalence"}}
+
+
+def _maintenance_reports(root: str, src, src2, monkeypatch) -> list:
+    """Full-path clustering, a MERGE pruned on the driver, both verify
+    gates, an incremental re-cluster and a MERGE pruned in tasks; each
+    report without its timings."""
+    from ocel_ocpn_lakehouse_ray.stages import merge
+
+    def bare(rep: dict) -> dict:
+        return {k: v for k, v in rep.items()
+                if k not in ("seconds", "rows_per_sec", "phase_seconds")}
+
+    n = 200
+    t = create_image_table(root, n, num_fragments=8, seed=5)
+    t, full = run_clustering(t, order="zorder", job_id="full")
+    pre = t
+    t, m1 = run_merge(t, src, job_id="m1")
+    merged = verify_merged_map_only(t, n=n, seed=5)
+    snap = verify_merged_map_only(LakeTable.load(root, version=pre.version),
+                                  n=n, seed=5, merged=False)
+    assert merged["passed"] and snap["passed"], (merged, snap)
+    t = t.append_arrow(gen_batch(np.arange(2 * n, 2 * n + 10), 5))
+    t, inc = run_clustering(t, order="zorder", job_id="inc")
+    assert (full["path"], inc["path"]) == ("full", "incremental")
+    with monkeypatch.context() as m:
+        m.setattr(merge, "MAX_DRIVER_KEYS", 0)
+        t, m2 = run_merge(t, src2, job_id="m2")
+    return [bare(r) for r in (full, m1, merged, snap, inc, m2)]
+
+
+def test_maintenance_starts_no_ray_data_execution(tmp_path, monkeypatch):
+    """With the engine reader (``read_files``, which returns a Ray Data
+    Dataset) patched to raise, clustering on both paths, MERGE with driver
+    and distributed pruning and both verify gates still run, and give the
+    reports they give unpatched: maintenance starts its tasks only through
+    ``fan_out``.  The MERGE sources are materialised before the patch."""
+    from ocel_ocpn_lakehouse_ray.sources import fragments
+
+    src = merge_source_dataset(200, seed=5, num_blocks=2).materialize()
+    src2 = merge_source_dataset(200, seed=6, num_blocks=2).materialize()
+    want = _maintenance_reports(str(tmp_path / "a"), src, src2, monkeypatch)
+
+    def no_dataset(*args, **kwargs):
+        raise AssertionError("maintenance started a Ray Data read")
+
+    monkeypatch.setattr(fragments, "read_files", no_dataset)
+    got = _maintenance_reports(str(tmp_path / "b"), src, src2, monkeypatch)
+    assert got == want

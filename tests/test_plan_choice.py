@@ -47,7 +47,7 @@ def test_stored_config_with_removed_strategy_fields_still_merges(tmp_path):
     t2, rep = run_merge(t, merge_source_dataset(200, seed=42, num_blocks=2),
                         job_id="legacy-m")
     assert rep["updates"] > 0 and rep["inserts"] == 200 // 20
-    vr = verify_merged_map_only(t2, n=200, seed=42, num_blocks=4)
+    vr = verify_merged_map_only(t2, n=200, seed=42)
     assert vr["passed"] and vr["id_checksum_ok"], vr
 
 
@@ -79,7 +79,7 @@ def test_resume_of_a_meta_without_fingerprint_raises(tmp_path, monkeypatch):
     t2, rep = run_merge(t, src, job_id="legacy-rerun")
     ids = t2.to_arrow(columns=["image_id"])["image_id"].to_pylist()
     assert len(ids) == len(set(ids)) == 200 + 200 // 20
-    vr = verify_merged_map_only(t2, n=200, seed=42, num_blocks=4)
+    vr = verify_merged_map_only(t2, n=200, seed=42)
     assert vr["passed"] and vr["id_checksum_ok"], vr
 
 

@@ -77,14 +77,9 @@ def test_fs_shuffle_file_count_bounded_at_high_partition_count(tmp_path):
     of MAP TASKS (one file per task, partitions = row groups inside it), not
     map_tasks x P — at P=64 over a handful of blocks that's the difference
     between <10 files and hundreds."""
-    import glob
-    import os
+    import pyarrow.parquet as pq
 
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from ocel_ocpn_lakehouse_ray.stages.fs_shuffle import fs_shuffle_groups
+    from ocel_ocpn_lakehouse_ray.stages.fs_shuffle import fs_reduce, fs_shuffle_map
 
     P = 64
     n = 4096
@@ -92,7 +87,10 @@ def test_fs_shuffle_file_count_bounded_at_high_partition_count(tmp_path):
         "k": pa.array(np.arange(n, dtype=np.int64)),
         "__part": pa.array((np.arange(n) % P).astype(np.int32)),
     })
-    ds = ray.data.from_arrow(tbl).repartition(4)
+    paths = []
+    for i in range(4):  # one read block per file: 4 map tasks
+        paths.append(str(tmp_path / f"in-{i}.parquet"))
+        pq.write_table(tbl.slice(i * n // 4, n // 4), paths[-1])
     work = str(tmp_path / "shuf")
 
     def group_sum(g: pa.Table) -> pa.Table:
@@ -104,8 +102,8 @@ def test_fs_shuffle_file_count_bounded_at_high_partition_count(tmp_path):
             "rows": [g.num_rows],
         })
 
-    outs = fs_shuffle_groups(ds, part_col="__part", work_dir=work,
-                             reduce_fn=group_sum)
+    outs = fs_reduce(fs_shuffle_map(paths, lambda b: b, part_col="__part",
+                                    work_dir=work), group_sum)
     assert len(outs) == P
     got = {o["part"][0].as_py(): (o["total"][0].as_py(), o["rows"][0].as_py())
            for o in outs}
@@ -138,7 +136,7 @@ def test_merge_strategies_equivalent_and_resumable(tmp_path, mode):
     t2, rep = run_merge(t, merge_source_dataset(300, seed=42, num_blocks=2),
                         job_id=f"ms-{mode}")
     assert rep["updates"] > 0 and rep["inserts"] == 300 // 20
-    vr = verify_merged_map_only(t2, n=300, seed=42, num_blocks=4)
+    vr = verify_merged_map_only(t2, n=300, seed=42)
     assert vr["passed"] and vr["id_checksum_ok"], vr
     ids = t2.to_arrow(columns=["image_id"])["image_id"].to_pylist()
     assert len(ids) == len(set(ids)) == 300 + 300 // 20

@@ -33,7 +33,7 @@ def merged_table(tmp_path_factory):
 
 
 def test_verify_merged_passes_on_clean_table(merged_table):
-    rep = verify_merged_map_only(merged_table, n=N, seed=SEED, num_blocks=4)
+    rep = verify_merged_map_only(merged_table, n=N, seed=SEED)
     assert rep["passed"], rep
     assert rep["pairs"] == N + N // 20
     assert rep["missing"] == 0 and rep["unexpected"] == 0
@@ -55,7 +55,7 @@ def test_verify_merged_detects_caption_corruption(merged_table):
     )
     pq.write_table(bad, path)
     try:
-        rep = verify_merged_map_only(t2, n=N, seed=SEED, num_blocks=4)
+        rep = verify_merged_map_only(t2, n=N, seed=SEED)
         assert not rep["passed"]
         assert rep["caption_mismatch"] == 1
     finally:
@@ -67,7 +67,7 @@ def test_verify_merged_detects_missing_rows(merged_table):
     from ocel_ocpn_lakehouse_ray.table import LakeTable
 
     t_old = LakeTable.load(merged_table.root, version=1)
-    rep = verify_merged_map_only(t_old, n=N, seed=SEED, num_blocks=4)
+    rep = verify_merged_map_only(t_old, n=N, seed=SEED)
     assert not rep["passed"]
     assert rep["missing"] == N // 20          # the un-merged inserts
     assert rep["caption_mismatch"] > 0        # un-applied updates
@@ -79,12 +79,12 @@ def test_verify_snapshot_mode_passes_on_pinned_premerge_version(merged_table):
     from ocel_ocpn_lakehouse_ray.table import LakeTable
 
     t_old = LakeTable.load(merged_table.root, version=1)
-    rep = verify_merged_map_only(t_old, n=N, seed=SEED, num_blocks=4,
+    rep = verify_merged_map_only(t_old, n=N, seed=SEED,
                                  merged=False)
     assert rep["passed"], rep
     assert rep["pairs"] == N
     # and the POST-merge table must FAIL the pre-merge expectation
-    rep2 = verify_merged_map_only(merged_table, n=N, seed=SEED, num_blocks=4,
+    rep2 = verify_merged_map_only(merged_table, n=N, seed=SEED,
                                   merged=False)
     assert not rep2["passed"]
     assert rep2["unexpected"] == N // 20  # merge inserts are not pre-merge rows
@@ -129,7 +129,7 @@ def test_verify_merged_detects_pixel_corruption(merged_table):
     )
     pq.write_table(bad, path)
     try:
-        rep = verify_merged_map_only(t2, n=N, seed=SEED, num_blocks=4)
+        rep = verify_merged_map_only(t2, n=N, seed=SEED)
         assert not rep["passed"]
         assert rep["pixel_fail"] == 1
     finally:
@@ -151,7 +151,7 @@ def test_verify_merged_detects_undecodable_bytes(merged_table):
     )
     pq.write_table(bad, path)
     try:
-        rep = verify_merged_map_only(t2, n=N, seed=SEED, num_blocks=4)
+        rep = verify_merged_map_only(t2, n=N, seed=SEED)
         assert not rep["passed"]
         assert rep["pixel_fail"] == 1
     finally:
